@@ -8,7 +8,6 @@ path prints a single ``error: ...`` line to stderr.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -16,16 +15,13 @@ from . import verify
 from .core import (
     STANDARD_METRIC,
     SWAPPED_METRIC,
-    DomainError,
     NotDecomposableError,
     Transform,
     TwoVector,
     apply,
     classify_geometric,
     compose,
-    make_l,
-    make_lambda,
-    make_lambda_infinite_limit,
+    make_transform,
     refit,
 )
 from .diagram import (
@@ -57,31 +53,15 @@ def _parse_vec(text: str) -> TwoVector:
     return TwoVector(float(parts[0]), float(parts[1]))
 
 
-def _build_transform(branch: str, tau: int, k: float, vel_text: str) -> Transform:
-    v = float(vel_text)  # also accepts "inf"/"infinity"
-    if math.isinf(v):
-        if branch != "lambda":
-            raise DomainError('infinite velocity is only defined for the "lambda" branch')
-        if v < 0:
-            raise DomainError("negative infinite velocity is not supported")
-        return make_lambda_infinite_limit(tau, k)
-    if branch == "lambda":
-        return make_lambda(tau, k, v)
-    return make_l(tau, k, v)
-
-
 def _parse_transform_spec(spec: str) -> Transform:
     parts = spec.split(",")
     if len(parts) != 4:
         raise ValueError(f"transform spec must be branch,tau,k,vel, got {spec!r}")
-    branch = parts[0].strip()
-    if branch not in ("lambda", "l"):
-        raise ValueError(f'branch must be "lambda" or "l", got {branch!r}')
-    return _build_transform(branch, int(parts[1]), float(parts[2]), parts[3])
+    return make_transform(parts[0].strip(), int(parts[1]), float(parts[2]), float(parts[3]))
 
 
 def _cmd_transform(args) -> int:
-    t = _build_transform(args.branch, args.tau, args.k, args.vel)
+    t = make_transform(args.branch, args.tau, args.k, float(args.vel))
     r = apply(t, _parse_vec(args.vec))
     print(f"{r.c1!r},{r.c2!r}")
     return EXIT_OK
@@ -151,7 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=int, choices=(1, -1), required=True)
     p.add_argument("--k", type=float, required=True)
     p.add_argument("--vel", required=True,
-                   help='velocity in units of c, or "infinity" (lambda, k<0 only)')
+                   help='velocity in units of c, or "infinity" (lambda, k<0 only); '
+                        'accepted spellings: see bilorentz.make_transform')
     p.add_argument("--vec", required=True, help="vector as c1,c2 (use --vec=-1,2 for negatives)")
     p.set_defaults(func=_cmd_transform)
 

@@ -124,9 +124,12 @@ class CausalReport:
     """Joint coordinate-speed and interval-sign classification of a displacement."""
 
     coord_speed: CoordinateSpeed
-    coord_superluminal: bool
     interval_sq: float
     causal_class: CausalClass
+
+    @property
+    def coord_superluminal(self) -> bool:
+        return self.coord_speed.superluminal
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +197,28 @@ def make_l(tau: int, k: float, w: float) -> Transform:
                      tau=tau, k=float(k), vel=float(w))
 
 
+def make_transform(branch: str, tau: int, k: float, vel: float) -> Transform:
+    """Family transform from a spec: branch "lambda" or "l", tau, k and velocity.
+
+    A velocity of +inf selects make_lambda_infinite_limit; every other
+    velocity goes to make_lambda or make_l, which reject non-finite values.
+    This is the one place the velocity rules live.  Accepted spellings:
+
+    * CLI (``--vel`` and compose specs): anything ``float()`` parses, so
+      ``inf``, ``+inf``, ``Infinity`` and ``infinity`` all mean +inf.
+    * Scenario JSON (``transform.vel``): a finite number or the string
+      ``"infinity"``; the non-standard literals ``Infinity``, ``-Infinity``
+      and ``NaN`` are rejected.
+    """
+    if branch == "lambda":
+        if vel == math.inf:
+            return make_lambda_infinite_limit(tau, k)
+        return make_lambda(tau, k, vel)
+    if branch == "l":
+        return make_l(tau, k, vel)
+    raise DomainError(f'branch must be "lambda" or "l", got {branch!r}')
+
+
 # ---------------------------------------------------------------------------
 # 2x2 matrix plumbing
 # ---------------------------------------------------------------------------
@@ -205,14 +230,15 @@ def _mat_mul(a: Mat, b: Mat) -> Mat:
             (a10 * b00 + a11 * b10, a10 * b01 + a11 * b11))
 
 
-def _mat_det(m: Mat) -> float:
+def mat_det(m: Mat) -> float:
+    """Determinant of a 2x2 matrix."""
     (a, b), (c, d) = m
     return a * d - b * c
 
 
 def _mat_inv(m: Mat, tol: float = DEFAULT_TOL) -> Mat:
     (a, b), (c, d) = m
-    det = a * d - b * c
+    det = mat_det(m)
     if abs(det) <= tol:
         raise SingularMatrixError(f"matrix determinant {det} below tolerance {tol}")
     return ((d / det, -b / det), (-c / det, a / det))
@@ -227,10 +253,15 @@ def _mat_transpose(m: Mat) -> Mat:
 # operations on transforms
 # ---------------------------------------------------------------------------
 
+def mat_vec(m: Mat, c1, c2):
+    """Components of m @ (c1, c2); c1 and c2 may be floats or ndarrays."""
+    (a, b), (c, d) = m
+    return a * c1 + b * c2, c * c1 + d * c2
+
+
 def apply(t: Transform, x: TwoVector) -> TwoVector:
     """Matrix-vector product t.m @ (x.c1, x.c2)."""
-    (a, b), (c, d) = t.m
-    return TwoVector(a * x.c1 + b * x.c2, c * x.c1 + d * x.c2)
+    return TwoVector(*mat_vec(t.m, x.c1, x.c2))
 
 
 def compose(a: Transform, b: Transform) -> Transform:
@@ -264,10 +295,10 @@ def k_constant(gamma_plus: float, gamma_minus: float, v: float) -> float:
     return (prod - 1.0) / (v * v * prod)
 
 
-def swap_decompose(t: Transform) -> tuple[bool, Transform]:
+def swap_decompose(t: Transform) -> Transform:
     """Split a (tau=-1, k=1) antisymmetric-family transform into swap and boost.
 
-    Returns (True, lam) with lam = make_lambda(1, 1, 1/w) such that
+    Returns the boost lam = make_lambda(1, 1, 1/w) such that
     SWAP_MAT @ lam.m reproduces t.m.  Raises NotDecomposableError for any
     transform not constructed as make_l(-1, 1, w).
     """
@@ -276,7 +307,7 @@ def swap_decompose(t: Transform) -> tuple[bool, Transform]:
         raise NotDecomposableError(
             "swap decomposition needs an antisymmetric-family transform "
             "with tau = -1 and k = 1")
-    return True, make_lambda(1, 1.0, 1.0 / t.vel)
+    return make_lambda(1, 1.0, 1.0 / t.vel)
 
 
 def refit(t: Transform, k: float = 1.0, tol: float = 1e-9) -> Transform:
@@ -309,10 +340,15 @@ def refit(t: Transform, k: float = 1.0, tol: float = 1e-9) -> Transform:
 # intervals, metrics and causal classification
 # ---------------------------------------------------------------------------
 
+def quad_form(g: Mat, c1, c2):
+    """(c1, c2)^T g (c1, c2); c1 and c2 may be floats or ndarrays."""
+    (g11, g12), (g21, g22) = g
+    return (g11 * c1 + g12 * c2) * c1 + (g21 * c1 + g22 * c2) * c2
+
+
 def interval_squared(d: TwoVector, g: Metric) -> float:
     """Quadratic form d^T g d; with STANDARD_METRIC this is c1**2 - c2**2."""
-    (g11, g12), (g21, g22) = g.g
-    return (g11 * d.c1 + g12 * d.c2) * d.c1 + (g21 * d.c1 + g22 * d.c2) * d.c2
+    return quad_form(g.g, d.c1, d.c2)
 
 
 def transform_metric(t: Transform, g: Metric) -> Metric:
@@ -337,22 +373,24 @@ def classify_coordinate(d: TwoVector) -> CoordinateSpeed:
     return CoordinateSpeed(abs(d.c2 / d.c1))
 
 
+def causal_sign(s2, tol: float = DEFAULT_TOL):
+    """Interval-sign class: 1 above +tol (timelike), -1 below -tol (spacelike),
+    0 in between (lightlike); s2 may be a float or an ndarray."""
+    return 1 * (s2 > tol) - 1 * (s2 < -tol)
+
+
+#: CausalClass by causal_sign value; index -1 is the spacelike entry.
+_CLASS_BY_SIGN = (CausalClass.LIGHTLIKE, CausalClass.TIMELIKE, CausalClass.SPACELIKE)
+
+
 def classify_geometric(d: TwoVector, g: Metric, tol: float = DEFAULT_TOL) -> CausalReport:
     """Classify a displacement by coordinate speed and by interval sign.
 
-    The interval sign is the coordinate-independent notion: an interval
-    above +tol is timelike, below -tol spacelike, lightlike in between.
+    The interval sign is the coordinate-independent notion (see causal_sign).
     """
-    speed = classify_coordinate(d)
-    s2 = interval_squared(d, g)
-    if s2 > tol:
-        causal = CausalClass.TIMELIKE
-    elif s2 < -tol:
-        causal = CausalClass.SPACELIKE
-    else:
-        causal = CausalClass.LIGHTLIKE
-    return CausalReport(coord_speed=speed, coord_superluminal=speed.value > 1.0,
-                        interval_sq=s2, causal_class=causal)
+    s2 = quad_form(g.g, d.c1, d.c2)
+    return CausalReport(coord_speed=classify_coordinate(d), interval_sq=s2,
+                        causal_class=_CLASS_BY_SIGN[causal_sign(s2, tol)])
 
 
 def measured_displacement(d_eta: TwoVector) -> TwoVector:

@@ -13,7 +13,8 @@ Schema (all keys required unless noted):
     }
 
 Unknown keys are rejected everywhere.  "infinity" is only a valid velocity
-for the "lambda" branch with k < 0.
+for the "lambda" branch with k < 0; the accepted velocity spellings are
+documented once, in core.make_transform.
 """
 
 from __future__ import annotations
@@ -22,14 +23,7 @@ import json
 import math
 from pathlib import Path
 
-from .core import (
-    BranchKind,
-    Transform,
-    TwoVector,
-    make_l,
-    make_lambda,
-    make_lambda_infinite_limit,
-)
+from .core import BranchKind, Transform, TwoVector, make_transform
 from .worldlines import Scenario, Window, Worldline, WorldlineKind
 
 
@@ -70,22 +64,16 @@ def _text(value, where: str) -> str:
 def _transform_from_dict(obj: dict) -> Transform:
     _require_keys(obj, {"branch", "tau", "k", "vel"}, set(), "transform")
     branch = _text(obj["branch"], "transform.branch")
-    if branch not in ("lambda", "l"):
-        raise ScenarioFormatError(f'transform.branch must be "lambda" or "l", got {branch!r}')
     tau = obj["tau"]
     if isinstance(tau, bool) or tau not in (1, -1):
         raise ScenarioFormatError(f"transform.tau must be 1 or -1, got {tau!r}")
     k = _number(obj["k"], "transform.k")
-    vel = obj["vel"]
-    if vel == "infinity":
-        if branch != "lambda" or not k < 0.0:
-            raise ScenarioFormatError(
-                '"infinity" velocity is only valid for branch "lambda" with k < 0')
-        return make_lambda_infinite_limit(tau, k)
-    v = _number(vel, "transform.vel")
-    if branch == "lambda":
-        return make_lambda(tau, k, v)
-    return make_l(tau, k, v)
+    if obj["vel"] == "infinity":
+        return make_transform(branch, tau, k, math.inf)
+    vel = _number(obj["vel"], "transform.vel")
+    if not math.isfinite(vel):
+        raise ScenarioFormatError(f'transform.vel must be finite or "infinity", got {vel!r}')
+    return make_transform(branch, tau, k, vel)
 
 
 def _transform_to_dict(t: Transform) -> dict:

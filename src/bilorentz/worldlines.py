@@ -21,6 +21,10 @@ class LightRayViolationError(ValueError):
     """A light-ray worldline stopped satisfying |direction.c1| == |direction.c2|."""
 
 
+class RestPointViolationError(ValueError):
+    """make_l(-1, 1, w) did not map the rest-point worldline onto c2 = 0."""
+
+
 class WorldlineKind(Enum):
     PARTICLE = "particle"
     LIGHT_RAY = "lightray"
@@ -109,7 +113,8 @@ def rest_point_worldline(w: float, tol: float = DEFAULT_TOL) -> Worldline:
     line = Worldline(anchor=TwoVector(0.0, 0.0), direction=TwoVector(1.0, w),
                      label=f"x = {w:g} ct")
     image = apply(make_l(-1, 1.0, w), line.direction)
-    assert abs(image.c2) <= tol, f"rest-point image c2 = {image.c2} not within {tol}"
+    if not abs(image.c2) <= tol:
+        raise RestPointViolationError(f"rest-point image c2 = {image.c2} not within {tol}")
     return line
 
 

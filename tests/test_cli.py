@@ -53,6 +53,14 @@ def test_infinite_velocity_needs_negative_k(capsys):
     assert err.startswith("error:")
 
 
+def test_negative_infinite_velocity_exits_2(capsys):
+    code, out, err = run_cli(capsys, "transform", "--branch", "lambda", "--tau", "1",
+                             "--k", "-1", "--vel=-inf", "--vec", "3,4")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_classify_worked_case(capsys):
     code, out, _ = run_cli(capsys, "classify", "--vec", "2,1", "--metric", "standard")
     assert code == 0

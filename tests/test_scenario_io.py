@@ -53,6 +53,9 @@ def test_infinity_requires_lambda_branch_and_negative_k():
     bad_transforms = (
         {"branch": "l", "tau": -1, "k": -1, "vel": "infinity"},
         {"branch": "lambda", "tau": 1, "k": 1, "vel": "infinity"},
+        # Python's json parses these non-standard literals as floats.
+        {"branch": "lambda", "tau": 1, "k": -1, "vel": json.loads("Infinity")},
+        {"branch": "lambda", "tau": 1, "k": -1, "vel": json.loads("-Infinity")},
     )
     for bad in bad_transforms:
         data = dict(base)

@@ -219,8 +219,7 @@ def test_parity_conjugate_matches_numpy():
 
 
 def test_swap_decompose_positive_w():
-    swapped, lam = swap_decompose(make_l(-1, 1.0, 2.0))
-    assert swapped is True
+    lam = swap_decompose(make_l(-1, 1.0, 2.0))
     assert lam.branch is BranchKind.SYMMETRIC_LAMBDA
     assert lam.vel == 0.5
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -228,7 +227,7 @@ def test_swap_decompose_positive_w():
 
 
 def test_swap_decompose_negative_w():
-    _, lam = swap_decompose(make_l(-1, 1.0, -2.0))
+    lam = swap_decompose(make_l(-1, 1.0, -2.0))
     assert lam.vel == -0.5
 
 

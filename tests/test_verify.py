@@ -1,7 +1,9 @@
 """Verification engine behaviour."""
 
+import numpy as np
 import pytest
 
+from bilorentz import core, verify
 from bilorentz.verify import format_report, run_verification
 
 
@@ -35,6 +37,20 @@ def test_report_mentions_every_check(capsys):
     for check in report.checks:
         assert check.name in text
     assert text.count("PASS") == len(report.checks)
+
+
+def test_planted_mat_vec_fault_fails_a_fuzz_check(monkeypatch):
+    """Negative control: the fuzz checks run core's own matrix-vector product,
+    so a fault planted there must fail at least one of them."""
+    def broken_mat_vec(m, c1, c2):
+        (a, b), (c, d) = m
+        return a * c1 - b * c2, c * c1 + d * c2
+
+    monkeypatch.setattr(core, "mat_vec", broken_mat_vec)
+    rng = np.random.default_rng(0)
+    fuzz = (verify.check_interval_invariance, verify.check_light_cone_preservation,
+            verify.check_causal_class_absoluteness, verify.check_measured_speed_bound)
+    assert not all(check(rng, 2000).passed for check in fuzz)
 
 
 def test_rejects_nonpositive_trials():

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from bilorentz import worldlines
 from bilorentz import (
     STANDARD_METRIC,
     BranchKind,
@@ -100,6 +101,14 @@ def test_rest_point_worldline_domain():
     for w in (0.5, 1.0, -1.0):
         with pytest.raises(DomainError):
             rest_point_worldline(w)
+
+
+def test_rest_point_check_raises_without_assert(monkeypatch):
+    """The image check must survive python -O, so it raises rather than asserts."""
+    identity = Transform(m=((1.0, 0.0), (0.0, 1.0)), branch=BranchKind.DERIVED)
+    monkeypatch.setattr(worldlines, "make_l", lambda tau, k, w: identity)
+    with pytest.raises(worldlines.RestPointViolationError):
+        rest_point_worldline(2.0)
 
 
 def test_window_needs_positive_extent():
