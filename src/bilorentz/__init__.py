@@ -57,7 +57,6 @@ from .scenario_io import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from .verify import CheckResult, VerificationReport, format_report, run_verification
 from .worldlines import (
     FIG2_PARTICLE_SPEEDS,
     LightRayViolationError,
@@ -75,6 +74,19 @@ from .worldlines import (
 )
 
 __version__ = "0.1.0"
+
+#: Names served from ``verify``, which imports numpy; loaded on first access
+#: (PEP 562) so that ``import bilorentz`` and the CLI's other commands do not.
+_VERIFY_NAMES = frozenset({"CheckResult", "VerificationReport", "format_report",
+                           "run_verification"})
+
+
+def __getattr__(name):
+    if name in _VERIFY_NAMES:
+        from . import verify
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "DEFAULT_TOL",

@@ -11,7 +11,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import verify
 from .core import (
     STANDARD_METRIC,
     SWAPPED_METRIC,
@@ -92,7 +91,18 @@ def _cmd_compose(args) -> int:
     return EXIT_OK
 
 
+def __getattr__(name):
+    # ``verify`` imports numpy, so only ``_cmd_verify`` loads it; ``cli.verify``
+    # still names that module for callers that read or patch it.
+    if name == "verify":
+        from . import verify
+        return verify
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _cmd_verify(args) -> int:
+    from . import verify
+
     report = verify.run_verification(trials=args.trials, seed=args.seed)
     print(verify.format_report(report))
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED

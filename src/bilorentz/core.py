@@ -136,8 +136,15 @@ class CausalReport:
 # gamma factors and family constructors
 # ---------------------------------------------------------------------------
 
+def _check_k(k: float) -> None:
+    # An infinite k would give gamma = 0 and an all-zero "transform".
+    if not math.isfinite(k):
+        raise DomainError(f"k must be finite, got {k}")
+
+
 def gamma_symmetric(k: float, v: float, sign: int = 1) -> float:
     """Even gamma factor sign / sqrt(1 - k*v**2), defined for k*v**2 < 1."""
+    _check_k(k)
     if not math.isfinite(v):
         raise DomainError(f"velocity must be finite, got {v}")
     kv2 = k * v * v
@@ -148,6 +155,7 @@ def gamma_symmetric(k: float, v: float, sign: int = 1) -> float:
 
 def gamma_antisymmetric(k: float, w: float, sign: int = 1) -> float:
     """Odd gamma factor sign * (w/|w|) / sqrt(k*w**2 - 1), defined for k*w**2 > 1."""
+    _check_k(k)
     if not math.isfinite(w):
         raise DomainError(f"velocity must be finite, got {w}")
     if w == 0.0:
@@ -180,7 +188,8 @@ def make_lambda_infinite_limit(tau: int, k: float) -> Transform:
     an infinite velocity into make_lambda would give 0 * inf indeterminates.
     """
     _check_tau(tau)
-    if not (math.isfinite(k) and k < 0.0):
+    _check_k(k)
+    if not k < 0.0:
         raise DomainError(f"infinite-velocity limit diverges for k = {k} >= 0")
     a = -tau / math.sqrt(-k)
     m = ((0.0, a), (a, 0.0))
@@ -237,10 +246,13 @@ def mat_det(m: Mat) -> float:
 
 
 def _mat_inv(m: Mat, tol: float = DEFAULT_TOL) -> Mat:
+    """Inverse of a 2x2 matrix; singular when |det| <= tol * |row 1| * |row 2|,
+    a scale-free test since |det| never exceeds that product of row norms."""
     (a, b), (c, d) = m
     det = mat_det(m)
-    if abs(det) <= tol:
-        raise SingularMatrixError(f"matrix determinant {det} below tolerance {tol}")
+    if abs(det) <= tol * math.hypot(a, b) * math.hypot(c, d):
+        raise SingularMatrixError(f"matrix determinant {det} is at most {tol} "
+                                  "times the product of its row norms")
     return ((d / det, -b / det), (-c / det, a / det))
 
 

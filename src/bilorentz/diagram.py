@@ -10,12 +10,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
 from .core import TwoVector
 from .worldlines import Scenario, Window, Worldline, WorldlineKind, transform_worldline
 
 _MARGIN = 40.0
+
+
+def escape(text: str) -> str:
+    """Escape &, < and > for XML character data, as xml.sax.saxutils.escape does."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 class EmptyWindowError(ValueError):

@@ -119,6 +119,15 @@ def test_compose_bad_spec_exits_2(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("k", ["inf", "-inf"])
+def test_transform_infinite_k_exits_2(capsys, k):
+    code, out, err = run_cli(capsys, "transform", "--branch", "l", "--tau", "-1",
+                             f"--k={k}", "--vel", "2", "--vec", "2,1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: k must be finite")
+
+
 def test_verify_small_run_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--trials", "2000", "--seed", "42")
     assert code == 0
@@ -144,6 +153,21 @@ def test_verify_detects_sign_flip(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--trials", "500", "--seed", "3")
     assert code == 1
     assert "FAIL" in out
+
+
+def test_verify_calls_through_cli_verify(capsys, monkeypatch):
+    """``cli.verify`` is the module ``verify`` runs, so patching it takes effect."""
+    calls = []
+    real = cli.verify.run_verification
+
+    def spy(**kwargs):
+        calls.append(kwargs)
+        return real(**kwargs)
+
+    monkeypatch.setattr(cli.verify, "run_verification", spy)
+    code, _, _ = run_cli(capsys, "verify", "--trials", "500", "--seed", "3")
+    assert code == 0
+    assert calls == [{"trials": 500, "seed": 3}]
 
 
 def test_verify_rejects_bad_trials(capsys):

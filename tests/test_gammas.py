@@ -61,6 +61,15 @@ def test_antisymmetric_domain():
         gamma_antisymmetric(-1.0, 2.0)  # negative k never satisfies k*w**2 > 1
 
 
+@pytest.mark.parametrize("k", [math.inf, -math.inf, math.nan])
+def test_gammas_reject_non_finite_k(k):
+    # An infinite k would give gamma = 0, hence an all-zero transform.
+    with pytest.raises(DomainError, match="k must be finite"):
+        gamma_symmetric(k, 0.5)
+    with pytest.raises(DomainError, match="k must be finite"):
+        gamma_antisymmetric(k, 2.0)
+
+
 def test_k_constant_recovers_unity_from_symmetric_pair():
     pair = (gamma_symmetric(1.0, 0.5), gamma_symmetric(1.0, -0.5))
     assert k_constant(pair[0], pair[1], 0.5) == pytest.approx(1.0, abs=1e-12)

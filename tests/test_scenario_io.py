@@ -56,6 +56,9 @@ def test_infinity_requires_lambda_branch_and_negative_k():
         # Python's json parses these non-standard literals as floats.
         {"branch": "lambda", "tau": 1, "k": -1, "vel": json.loads("Infinity")},
         {"branch": "lambda", "tau": 1, "k": -1, "vel": json.loads("-Infinity")},
+        {"branch": "l", "tau": -1, "k": json.loads("Infinity"), "vel": 2},
+        {"branch": "lambda", "tau": 1, "k": json.loads("-Infinity"), "vel": 0.5},
+        {"branch": "lambda", "tau": 1, "k": json.loads("-Infinity"), "vel": "infinity"},
     )
     for bad in bad_transforms:
         data = dict(base)

@@ -123,6 +123,16 @@ def test_infinite_limit_rejects_nonnegative_k():
             make_lambda_infinite_limit(1, k)
 
 
+@pytest.mark.parametrize("k", [math.inf, -math.inf])
+def test_constructors_reject_infinite_k(k):
+    with pytest.raises(DomainError, match="k must be finite"):
+        make_lambda(1, k, 0.5)
+    with pytest.raises(DomainError, match="k must be finite"):
+        make_l(-1, k, 2.0)
+    with pytest.raises(DomainError, match="k must be finite"):
+        make_lambda_infinite_limit(1, k)
+
+
 def test_apply_identity():
     assert apply(make_lambda(1, 1.0, 0.0), TwoVector(3.0, 4.0)) == TwoVector(3.0, 4.0)
 
@@ -193,6 +203,12 @@ def test_inverse_rejects_singular_matrix():
     degenerate = Transform(m=((1.0, 1.0), (1.0, 1.0)), branch=BranchKind.DERIVED)
     with pytest.raises(SingularMatrixError):
         inverse(degenerate)
+
+
+def test_inverse_accepts_well_conditioned_small_scale_matrix():
+    # det is about 3e-13, but the rows are far from parallel
+    t = make_lambda(1, -1e13, 0.5)
+    np.testing.assert_allclose(mat(inverse(t)), np.linalg.inv(mat(t)), rtol=1e-12)
 
 
 def test_parity_conjugate_reverses_symmetric_velocity():
