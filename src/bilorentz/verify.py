@@ -4,6 +4,11 @@ Each check reports the maximal residual over a parameter grid or a seeded
 fuzz population; a run passes only when every residual stays within its
 tolerance.  Grid checks are deterministic; fuzz checks are reproducible
 from (seed, trials).
+
+A fuzz check draws its whole population at once, then runs every sampled
+transform over it in slices of ``_BLOCK`` trials, so that the per-slice
+temporaries stay in cache.  Every operation is elementwise and the only
+reductions are max and count, so results do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -41,6 +46,16 @@ class VerificationReport:
 
 _K_VALUES = (-1.0, -0.5, 0.5, 1.0)
 
+#: Trials per slice in the fuzz checks: 256 KiB per float64 temporary, so a
+#: slice's working set fits in L2.  Of 2**12 to 2**20, 2**15 ran fastest on
+#: a host with 2 MiB of L2 per core; 2**17 and up ran nearly 2x slower.
+_BLOCK = 1 << 15
+
+
+def _blocks(trials: int):
+    """Consecutive slices of at most _BLOCK trials covering range(trials)."""
+    return (slice(i, i + _BLOCK) for i in range(0, trials, _BLOCK))
+
 
 def _w_grid() -> np.ndarray:
     half = np.linspace(1.001, 100.0, 200)
@@ -64,6 +79,11 @@ def _l_domain_velocities(k: float, count: int = 50) -> np.ndarray:
     return np.concatenate([half, -half])
 
 
+def _sample_w(rng: np.random.Generator) -> float:
+    """Antisymmetric-family velocity with 1.05 <= |w| <= 10 and random sign."""
+    return float(rng.uniform(1.05, 10.0)) * (1.0 if rng.random() < 0.5 else -1.0)
+
+
 def _sample_family_transforms(rng: np.random.Generator, per_branch: int) -> list:
     ts = []
     for _ in range(per_branch):
@@ -71,9 +91,14 @@ def _sample_family_transforms(rng: np.random.Generator, per_branch: int) -> list
         ts.append(core.make_lambda(tau, 1.0, float(rng.uniform(-0.95, 0.95))))
     for _ in range(per_branch):
         tau = 1 if rng.random() < 0.5 else -1
-        w = float(rng.uniform(1.05, 10.0)) * (1.0 if rng.random() < 0.5 else -1.0)
-        ts.append(core.make_l(tau, 1.0, w))
+        ts.append(core.make_l(tau, 1.0, _sample_w(rng)))
     return ts
+
+
+def _sample_matrices_and_metrics(rng: np.random.Generator, per_branch: int) -> list:
+    """(t.m, transform_metric(t).g) for each sampled family transform t."""
+    return [(t.m, core.transform_metric(t, STANDARD_METRIC).g)
+            for t in _sample_family_transforms(rng, per_branch)]
 
 
 def _max_abs_diff(a, b) -> float:
@@ -213,13 +238,16 @@ def check_interval_invariance(rng: np.random.Generator, trials: int) -> CheckRes
     unit floor keeps near-lightlike displacements from dividing by zero.
     """
     c1, c2 = rng.uniform(-1.0, 1.0, size=(2, trials))
-    s_before = core.quad_form(STANDARD_METRIC.g, c1, c2)
+    pairs = _sample_matrices_and_metrics(rng, 10)
     worst = 0.0
-    for t in _sample_family_transforms(rng, 10):
-        gp = core.transform_metric(t, STANDARD_METRIC).g
-        s_after = core.quad_form(gp, *core.mat_vec(t.m, c1, c2))
-        denom = np.maximum(1.0, np.maximum(np.abs(s_before), np.abs(s_after)))
-        worst = max(worst, float(np.max(np.abs(s_after - s_before) / denom)))
+    for block in _blocks(trials):
+        b1, b2 = c1[block], c2[block]
+        s_before = core.quad_form(STANDARD_METRIC.g, b1, b2)
+        floor = np.maximum(1.0, np.abs(s_before))
+        for m, gp in pairs:
+            s_after = core.quad_form(gp, *core.mat_vec(m, b1, b2))
+            denom = np.maximum(floor, np.abs(s_after))
+            worst = max(worst, float(np.max(np.abs(s_after - s_before) / denom)))
     return CheckResult("interval_invariance", worst, 1e-9)
 
 
@@ -227,22 +255,27 @@ def check_light_cone_preservation(rng: np.random.Generator, trials: int) -> Chec
     """Lightlike displacements stay lightlike under every family transform."""
     c1 = rng.uniform(0.01, 1.0, size=trials) * rng.choice([-1.0, 1.0], size=trials)
     c2 = c1 * rng.choice([-1.0, 1.0], size=trials)
+    matrices = [t.m for t in _sample_family_transforms(rng, 5)]
     worst = 0.0
-    for t in _sample_family_transforms(rng, 5):
-        e1, e2 = core.mat_vec(t.m, c1, c2)
-        worst = max(worst, float(np.max(np.abs(np.abs(e1) - np.abs(e2)))))
+    for block in _blocks(trials):
+        b1, b2 = c1[block], c2[block]
+        for m in matrices:
+            e1, e2 = core.mat_vec(m, b1, b2)
+            worst = max(worst, float(np.max(np.abs(np.abs(e1) - np.abs(e2)))))
     return CheckResult("light_cone_preservation", worst, 1e-12)
 
 
 def check_causal_class_absoluteness(rng: np.random.Generator, trials: int) -> CheckResult:
     """The timelike/lightlike/spacelike class never changes across frames."""
     c1, c2 = rng.uniform(-1.0, 1.0, size=(2, trials))
-    cls_before = core.causal_sign(core.quad_form(STANDARD_METRIC.g, c1, c2))
+    pairs = _sample_matrices_and_metrics(rng, 5)
     mismatches = 0
-    for t in _sample_family_transforms(rng, 5):
-        gp = core.transform_metric(t, STANDARD_METRIC).g
-        cls_after = core.causal_sign(core.quad_form(gp, *core.mat_vec(t.m, c1, c2)))
-        mismatches += int(np.count_nonzero(cls_before != cls_after))
+    for block in _blocks(trials):
+        b1, b2 = c1[block], c2[block]
+        cls_before = core.causal_sign(core.quad_form(STANDARD_METRIC.g, b1, b2))
+        for m, gp in pairs:
+            cls_after = core.causal_sign(core.quad_form(gp, *core.mat_vec(m, b1, b2)))
+            mismatches += int(np.count_nonzero(cls_before != cls_after))
     return CheckResult("causal_class_absoluteness", float(mismatches), 0.0)
 
 
@@ -253,11 +286,12 @@ def check_measured_speed_bound(rng: np.random.Generator, trials: int) -> CheckRe
     measured_displacement reads e2 as c*dt and e1 as dx, so its speed is |e1/e2|.
     """
     v = rng.uniform(-0.99, 0.99, size=trials)
+    matrices = [core.make_l(-1, 1.0, _sample_w(rng)).m for _ in range(5)]
     worst = 0.0
-    for _ in range(5):
-        w = float(rng.uniform(1.05, 10.0)) * (1.0 if rng.random() < 0.5 else -1.0)
-        e1, e2 = core.mat_vec(core.make_l(-1, 1.0, w).m, 1.0, v)
-        worst = max(worst, float(np.max(np.abs(e1 / e2))))
+    for block in _blocks(trials):
+        for m in matrices:
+            e1, e2 = core.mat_vec(m, 1.0, v[block])
+            worst = max(worst, float(np.max(np.abs(e1 / e2))))
     return CheckResult("measured_speed_bound", worst, 1.0 - 1e-9)
 
 

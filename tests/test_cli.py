@@ -170,6 +170,21 @@ def test_verify_calls_through_cli_verify(capsys, monkeypatch):
     assert calls == [{"trials": 500, "seed": 3}]
 
 
+@pytest.mark.parametrize("error", [MemoryError("Unable to allocate 146. TiB"), MemoryError()])
+def test_verify_out_of_memory_is_an_input_error(capsys, monkeypatch, error):
+    """Exit 1 means an identity failed; a population too large to allocate is
+    an input error."""
+    def out_of_memory(**kwargs):
+        raise error
+
+    monkeypatch.setattr(cli.verify, "run_verification", out_of_memory)
+    code, out, err = run_cli(capsys, "verify", "--trials", "10000000000000")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: out of memory")
+    assert err.count("\n") == 1
+
+
 def test_verify_rejects_bad_trials(capsys):
     code, _, err = run_cli(capsys, "verify", "--trials", "0")
     assert code == 2

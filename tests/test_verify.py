@@ -1,10 +1,20 @@
 """Verification engine behaviour."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from bilorentz import core, verify
-from bilorentz.verify import format_report, run_verification
+from bilorentz.verify import VerificationReport, format_report, run_verification
+
+GRID_CHECKS = (verify.check_gamma_parity, verify.check_k_recovery,
+               verify.check_determinant_law, verify.check_swap_decomposition,
+               verify.check_inverse_law, verify.check_parity_forcing,
+               verify.check_parity_violation_antisymmetric,
+               verify.check_composition_closure)
+FUZZ_CHECKS = (verify.check_interval_invariance, verify.check_light_cone_preservation,
+               verify.check_causal_class_absoluteness, verify.check_measured_speed_bound)
 
 
 def test_default_checks_all_pass():
@@ -48,9 +58,70 @@ def test_planted_mat_vec_fault_fails_a_fuzz_check(monkeypatch):
 
     monkeypatch.setattr(core, "mat_vec", broken_mat_vec)
     rng = np.random.default_rng(0)
-    fuzz = (verify.check_interval_invariance, verify.check_light_cone_preservation,
-            verify.check_causal_class_absoluteness, verify.check_measured_speed_bound)
-    assert not all(check(rng, 2000).passed for check in fuzz)
+    assert not all(check(rng, 2000).passed for check in FUZZ_CHECKS)
+
+
+def test_run_verification_is_the_public_checks_in_order_on_one_rng():
+    """bench/shim.py rebuilds the report this way, one check at a time, and
+    requires it to equal run_verification's; fusing or reordering checks
+    would break that."""
+    in_order = GRID_CHECKS + FUZZ_CHECKS + (verify.check_divergence_witness,)
+    public = {name for name in dir(verify) if name.startswith("check_")}
+    assert public == {check.__name__ for check in in_order}
+    for seed, trials in ((0, 1000), (5, 40_000)):
+        rng = np.random.default_rng(seed)
+        checks = tuple(check(rng, trials) if check in FUZZ_CHECKS else check()
+                       for check in in_order)
+        expected = VerificationReport(seed=seed, trials=trials, checks=checks)
+        assert run_verification(trials=trials, seed=seed) == expected
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11, 1000])
+def test_report_does_not_depend_on_block_size(monkeypatch, seed):
+    trials = 7 * 3 + 5
+    assert trials <= verify._BLOCK
+    one_block = run_verification(trials=trials, seed=seed)
+    monkeypatch.setattr(verify, "_BLOCK", 7)
+    assert run_verification(trials=trials, seed=seed) == one_block
+
+
+def test_each_fuzz_trial_meets_each_sampled_transform_once(monkeypatch):
+    """Counts the trials each core.mat_vec call covers (its broadcast size)."""
+    covered = []
+    real_mat_vec = core.mat_vec
+
+    def counting_mat_vec(m, c1, c2):
+        covered.append(np.broadcast(c1, c2).size)
+        return real_mat_vec(m, c1, c2)
+
+    monkeypatch.setattr(core, "mat_vec", counting_mat_vec)
+    monkeypatch.setattr(verify, "_BLOCK", 7)
+    trials, blocks = 7 * 3 + 5, 4
+    # _sample_family_transforms(rng, n) yields n transforms of each branch.
+    for check, transforms in zip(FUZZ_CHECKS, (20, 10, 10, 5)):
+        covered.clear()
+        check(np.random.default_rng(0), trials)
+        assert len(covered) == blocks * transforms, check.__name__
+        assert sum(covered) == trials * transforms, check.__name__
+
+
+def test_verify_memory_is_bounded_per_trial():
+    """numpy reports its buffers to tracemalloc, so this is a byte count, not
+    a timing: the fuzz checks hold their drawn inputs plus one block of
+    temporaries, not whole-population temporaries."""
+    trials = 400_000
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        run_verification(trials=trials, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert (peak - before) / trials < 40
 
 
 def test_rejects_nonpositive_trials():
