@@ -26,6 +26,13 @@ PARITY_MAT: Mat = ((1.0, 0.0), (0.0, -1.0))
 
 #: Absolute comparison tolerance for O(1) matrix entries and interval signs.
 DEFAULT_TOL = 1e-12
+_REFIT_TOL = 1e-9  # refit's elementwise match to a family form
+
+
+def mat_det(m: Mat) -> float:
+    """Determinant of a 2x2 matrix."""
+    (a, b), (c, d) = m
+    return a * d - b * c
 
 
 class DomainError(ValueError):
@@ -95,10 +102,10 @@ class Metric:
     g: Mat
 
     def __post_init__(self):
-        (a, b), (c, d) = self.g
+        (_, b), (c, _) = self.g
         if b != c:
             raise ValueError("metric matrix must be symmetric")
-        if a * d - b * c == 0.0:
+        if mat_det(self.g) == 0.0:
             raise ValueError("metric matrix must be non-degenerate")
 
 
@@ -239,19 +246,13 @@ def _mat_mul(a: Mat, b: Mat) -> Mat:
             (a10 * b00 + a11 * b10, a10 * b01 + a11 * b11))
 
 
-def mat_det(m: Mat) -> float:
-    """Determinant of a 2x2 matrix."""
-    (a, b), (c, d) = m
-    return a * d - b * c
-
-
-def _mat_inv(m: Mat, tol: float = DEFAULT_TOL) -> Mat:
-    """Inverse of a 2x2 matrix; singular when |det| <= tol * |row 1| * |row 2|,
+def _mat_inv(m: Mat) -> Mat:
+    """Inverse of a 2x2 matrix; singular when |det| <= DEFAULT_TOL * |row 1| * |row 2|,
     a scale-free test since |det| never exceeds that product of row norms."""
     (a, b), (c, d) = m
     det = mat_det(m)
-    if abs(det) <= tol * math.hypot(a, b) * math.hypot(c, d):
-        raise SingularMatrixError(f"matrix determinant {det} is at most {tol} "
+    if abs(det) <= DEFAULT_TOL * math.hypot(a, b) * math.hypot(c, d):
+        raise SingularMatrixError(f"matrix determinant {det} is at most {DEFAULT_TOL} "
                                   "times the product of its row norms")
     return ((d / det, -b / det), (-c / det, a / det))
 
@@ -322,16 +323,16 @@ def swap_decompose(t: Transform) -> Transform:
     return make_lambda(1, 1.0, 1.0 / t.vel)
 
 
-def refit(t: Transform, k: float = 1.0, tol: float = 1e-9) -> Transform:
+def refit(t: Transform, k: float = 1.0) -> Transform:
     """Match a matrix back onto a family form with the given k.
 
     Tries the symmetric family, then the antisymmetric one, comparing the
-    reconstructed matrix elementwise within tol.  Useful for checking that a
+    reconstructed matrix elementwise within 1e-9.  Useful for checking that a
     product of family transforms lands back in a family.  Raises
     NotDecomposableError when the matrix fits neither family at this k.
     """
     (a, b), (c, d) = t.m
-    if a == 0.0 or abs(a - d) > tol or abs(b - c) > tol:
+    if a == 0.0 or abs(a - d) > _REFIT_TOL or abs(b - c) > _REFIT_TOL:
         raise NotDecomposableError("matrix is not of the form [[p, q], [q, p]]")
     vel = -b / a
     sign_a = 1 if a > 0 else -1
@@ -343,7 +344,7 @@ def refit(t: Transform, k: float = 1.0, tol: float = 1e-9) -> Transform:
             cand = ctor(tau, k, vel)
         except DomainError:
             continue
-        if all(abs(cand.m[i][j] - t.m[i][j]) <= tol for i in (0, 1) for j in (0, 1)):
+        if all(abs(cand.m[i][j] - t.m[i][j]) <= _REFIT_TOL for i in (0, 1) for j in (0, 1)):
             return cand
     raise NotDecomposableError(f"matrix does not fit either family at k = {k}")
 
@@ -385,24 +386,24 @@ def classify_coordinate(d: TwoVector) -> CoordinateSpeed:
     return CoordinateSpeed(abs(d.c2 / d.c1))
 
 
-def causal_sign(s2, tol: float = DEFAULT_TOL):
-    """Interval-sign class: 1 above +tol (timelike), -1 below -tol (spacelike),
-    0 in between (lightlike); s2 may be a float or an ndarray."""
-    return 1 * (s2 > tol) - 1 * (s2 < -tol)
+def causal_sign(s2):
+    """Interval-sign class: 1 above +DEFAULT_TOL (timelike), -1 below -DEFAULT_TOL
+    (spacelike), 0 in between (lightlike); s2 may be a float or an ndarray."""
+    return 1 * (s2 > DEFAULT_TOL) - 1 * (s2 < -DEFAULT_TOL)
 
 
 #: CausalClass by causal_sign value; index -1 is the spacelike entry.
 _CLASS_BY_SIGN = (CausalClass.LIGHTLIKE, CausalClass.TIMELIKE, CausalClass.SPACELIKE)
 
 
-def classify_geometric(d: TwoVector, g: Metric, tol: float = DEFAULT_TOL) -> CausalReport:
+def classify_geometric(d: TwoVector, g: Metric) -> CausalReport:
     """Classify a displacement by coordinate speed and by interval sign.
 
     The interval sign is the coordinate-independent notion (see causal_sign).
     """
     s2 = quad_form(g.g, d.c1, d.c2)
     return CausalReport(coord_speed=classify_coordinate(d), interval_sq=s2,
-                        causal_class=_CLASS_BY_SIGN[causal_sign(s2, tol)])
+                        causal_class=_CLASS_BY_SIGN[causal_sign(s2)])
 
 
 def measured_displacement(d_eta: TwoVector) -> TwoVector:

@@ -9,11 +9,14 @@ A fuzz check draws its whole population at once, then runs every sampled
 transform over it in slices of ``_BLOCK`` trials, so that the per-slice
 temporaries stay in cache.  Every operation is elementwise and the only
 reductions are max and count, so results do not depend on the block size.
+Every max is taken by ``_worst``, which keeps NaN, so a NaN residual fails
+its check.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +82,45 @@ def _l_domain_velocities(k: float, count: int = 50) -> np.ndarray:
     return np.concatenate([half, -half])
 
 
+#: A constructor family over its velocity domain; parity is the sign in
+#: gamma(k, -u) == parity * gamma(k, u) and in P make(u) P == parity * make(-u).
+_Family = namedtuple("_Family", "gamma make grid parity")
+
+
+def _families() -> tuple:
+    """Both families, read from core per call so that a patched constructor is checked."""
+    return (_Family(core.gamma_symmetric, core.make_lambda, _lambda_domain_velocities, 1),
+            _Family(core.gamma_antisymmetric, core.make_l, _l_domain_velocities, -1))
+
+
+def _family_grid(families, count: int, ks=_K_VALUES):
+    """(family, k, u) for each k, each family and each of its count-per-sign velocities."""
+    for k in ks:
+        for fam in families:
+            for u in fam.grid(k, count):
+                yield fam, k, float(u)
+
+
+def _worst(residuals) -> float:
+    """Largest of the residuals (floats or ndarrays), 0.0 for none, and NaN if any is
+    NaN; the builtin max keeps a number over a NaN that follows it, and would pass."""
+    worst = 0.0
+    for r in residuals:
+        if isinstance(r, np.ndarray):
+            r = float(np.max(r))
+        if r > worst or math.isnan(r):
+            worst = r
+    return worst
+
+
+def _gap(a: core.Mat, b: core.Mat, sign: int = 1) -> float:
+    """Largest entry of |a - sign * b|."""
+    (a00, a01), (a10, a11) = a
+    (b00, b01), (b10, b11) = b
+    return _worst((abs(a00 - sign * b00), abs(a01 - sign * b01),
+                   abs(a10 - sign * b10), abs(a11 - sign * b11)))
+
+
 def _sample_w(rng: np.random.Generator) -> float:
     """Antisymmetric-family velocity with 1.05 <= |w| <= 10 and random sign."""
     return float(rng.uniform(1.05, 10.0)) * (1.0 if rng.random() < 0.5 else -1.0)
@@ -101,110 +143,67 @@ def _sample_matrices_and_metrics(rng: np.random.Generator, per_branch: int) -> l
             for t in _sample_family_transforms(rng, per_branch)]
 
 
-def _max_abs_diff(a, b) -> float:
-    return max(abs(a[i][j] - b[i][j]) for i in (0, 1) for j in (0, 1))
-
-
 def check_gamma_parity() -> CheckResult:
     """gamma_symmetric is exactly even, gamma_antisymmetric exactly odd."""
-    worst = 0.0
-    for k in _K_VALUES:
-        for v in _lambda_domain_velocities(k, 25):
-            worst = max(worst, abs(core.gamma_symmetric(k, float(v))
-                                   - core.gamma_symmetric(k, float(-v))))
-        for w in _l_domain_velocities(k, 25):
-            worst = max(worst, abs(core.gamma_antisymmetric(k, float(w))
-                                   + core.gamma_antisymmetric(k, float(-w))))
+    worst = _worst(abs(fam.gamma(k, u) - fam.parity * fam.gamma(k, -u))
+                   for fam, k, u in _family_grid(_families(), 25))
     return CheckResult("gamma_parity", worst, 0.0)
 
 
 def check_k_recovery() -> CheckResult:
     """k_constant applied to constructed gamma pairs gives back the input k."""
-    worst = 0.0
-    for k in _K_VALUES:
-        for v in _lambda_domain_velocities(k):
-            v = float(v)
-            rec = core.k_constant(core.gamma_symmetric(k, v),
-                                  core.gamma_symmetric(k, -v), v)
-            worst = max(worst, abs(rec - k))
-        for w in _l_domain_velocities(k):
-            w = float(w)
-            rec = core.k_constant(core.gamma_antisymmetric(k, w),
-                                  core.gamma_antisymmetric(k, -w), w)
-            worst = max(worst, abs(rec - k))
+    worst = _worst(abs(core.k_constant(fam.gamma(k, u), fam.gamma(k, -u), u) - k)
+                   for fam, k, u in _family_grid(_families(), 50))
     return CheckResult("k_recovery", worst, 1e-10)
 
 
 def check_determinant_law() -> CheckResult:
-    """det lambda = (1 - v**2)/(1 - k*v**2); at k = 1 the families have det +1/-1."""
-    worst = 0.0
-    for k in _K_VALUES:
-        for tau in (1, -1):
-            for v in _lambda_domain_velocities(k, 25):
-                v = float(v)
-                expected = (1.0 - v * v) / (1.0 - k * v * v)
-                worst = max(worst, abs(core.mat_det(core.make_lambda(tau, k, v).m) - expected))
-    for tau in (1, -1):
-        for v in np.linspace(-0.9, 0.9, 19):
-            worst = max(worst, abs(core.mat_det(core.make_lambda(tau, 1.0, float(v)).m) - 1.0))
-        for w in _w_grid():
-            worst = max(worst, abs(core.mat_det(core.make_l(tau, 1.0, float(w)).m) + 1.0))
-    return CheckResult("determinant_law", worst, 1e-12)
+    """det lambda = (1 - v**2)/(1 - k*v**2); at k = 1 each family's det is its parity."""
+    families = _families()
+    general = (abs(core.mat_det(fam.make(tau, k, v).m) - (1.0 - v * v) / (1.0 - k * v * v))
+               for fam, k, v in _family_grid(families[:1], 25) for tau in (1, -1))
+    unit_k = (abs(core.mat_det(fam.make(tau, 1.0, float(u)).m) - fam.parity)
+              for fam, grid in zip(families, (np.linspace(-0.9, 0.9, 19), _w_grid()))
+              for tau in (1, -1) for u in grid)
+    return CheckResult("determinant_law", _worst((*general, *unit_k)), 1e-12)
 
 
 def check_swap_decomposition() -> CheckResult:
     """The swap composed with swap_decompose(make_l(-1, 1, w)) reproduces make_l(-1, 1, w)."""
     swap = core.Transform(m=core.SWAP_MAT, branch=BranchKind.DERIVED)
-    worst = 0.0
-    for w in _w_grid():
-        t = core.make_l(-1, 1.0, float(w))
-        worst = max(worst, _max_abs_diff(core.compose(swap, core.swap_decompose(t)).m, t.m))
+    worst = _worst(_gap(core.compose(swap, core.swap_decompose(t)).m, t.m)
+                   for t in (core.make_l(-1, 1.0, float(w)) for w in _w_grid()))
     return CheckResult("swap_decomposition", worst, 1e-12)
 
 
 def check_inverse_law() -> CheckResult:
     """make_l(-1, 1, w) composed with make_l(-1, 1, -w) is the identity."""
-    worst = 0.0
-    for w in _w_grid():
-        w = float(w)
-        prod = core.compose(core.make_l(-1, 1.0, w), core.make_l(-1, 1.0, -w))
-        worst = max(worst, _max_abs_diff(prod.m, core.IDENTITY_MAT))
+    worst = _worst(_gap(core.compose(core.make_l(-1, 1.0, w), core.make_l(-1, 1.0, -w)).m,
+                        core.IDENTITY_MAT)
+                   for w in map(float, _w_grid()))
     return CheckResult("inverse_law", worst, 1e-12)
 
 
 def check_parity_forcing() -> CheckResult:
     """Parity conjugation reverses velocity; the antisymmetric branch also flips sign."""
-    worst = 0.0
-    for tau in (1, -1):
-        for k in _K_VALUES:
-            for v in _lambda_domain_velocities(k, 7):
-                v = float(v)
-                pc = core.parity_conjugate(core.make_lambda(tau, k, v))
-                worst = max(worst, _max_abs_diff(pc.m, core.make_lambda(tau, k, -v).m))
-            for w in _l_domain_velocities(k, 7):
-                w = float(w)
-                pc = core.parity_conjugate(core.make_l(tau, k, w))
-                neg = [[-x for x in row] for row in core.make_l(tau, k, -w).m]
-                worst = max(worst, _max_abs_diff(pc.m, neg))
+    worst = _worst(_gap(core.parity_conjugate(fam.make(tau, k, u)).m,
+                        fam.make(tau, k, -u).m, fam.parity)
+                   for tau in (1, -1) for fam, k, u in _family_grid(_families(), 7))
     return CheckResult("parity_forcing", worst, 1e-12)
 
 
 def check_parity_violation_antisymmetric() -> CheckResult:
     """No antisymmetric-family transform satisfies the parity covariance rule.
 
-    The deviation of P L(w) P from L(-w) must stay large (>= 0.5 elementwise
-    somewhere) across the whole grid; the residual is how far below that
-    margin the smallest deviation falls.
+    The deviation of P L(w) P from L(-w) (the rule with sign +1) must stay
+    large (>= 0.5 elementwise somewhere) across the whole grid; the residual
+    is how far below that margin the smallest deviation falls.
     """
-    min_dev = math.inf
-    for tau in (1, -1):
-        for k in (0.5, 1.0):
-            for w in _l_domain_velocities(k, 13):
-                w = float(w)
-                pc = core.parity_conjugate(core.make_l(tau, k, w))
-                dev = _max_abs_diff(pc.m, core.make_l(tau, k, -w).m)
-                min_dev = min(min_dev, dev)
-    return CheckResult("antisymmetric_parity_violation", max(0.0, 0.5 - min_dev), 0.0)
+    worst = _worst(0.5 - _gap(core.parity_conjugate(fam.make(tau, k, w)).m,
+                              fam.make(tau, k, -w).m)
+                   for tau in (1, -1)
+                   for fam, k, w in _family_grid(_families()[1:], 13, (0.5, 1.0)))
+    return CheckResult("antisymmetric_parity_violation", worst, 0.0)
 
 
 def check_composition_closure() -> CheckResult:
@@ -214,7 +213,7 @@ def check_composition_closure() -> CheckResult:
     two antisymmetric ones also land in the symmetric family, at velocity
     (w1 + w2)/(1 + w1*w2).
     """
-    worst = 0.0
+    gaps = []
     families = ((core.make_lambda, 1, (-0.9, -0.5, -0.1, 0.2, 0.6, 0.8)),
                 (core.make_l, -1, (-5.0, -2.0, -1.5, 1.2, 3.0, 10.0)))
     for make, tau, vels in families:
@@ -227,8 +226,8 @@ def check_composition_closure() -> CheckResult:
                     fitted = None
                 if fitted is None or fitted.branch is not BranchKind.SYMMETRIC_LAMBDA:
                     return CheckResult("composition_closure", math.inf, 1e-9)
-                worst = max(worst, abs(fitted.vel - (u1 + u2) / (1.0 + u1 * u2)))
-    return CheckResult("composition_closure", worst, 1e-9)
+                gaps.append(abs(fitted.vel - (u1 + u2) / (1.0 + u1 * u2)))
+    return CheckResult("composition_closure", _worst(gaps), 1e-9)
 
 
 def check_interval_invariance(rng: np.random.Generator, trials: int) -> CheckResult:
@@ -239,16 +238,19 @@ def check_interval_invariance(rng: np.random.Generator, trials: int) -> CheckRes
     """
     c1, c2 = rng.uniform(-1.0, 1.0, size=(2, trials))
     pairs = _sample_matrices_and_metrics(rng, 10)
-    worst = 0.0
-    for block in _blocks(trials):
-        b1, b2 = c1[block], c2[block]
-        s_before = core.quad_form(STANDARD_METRIC.g, b1, b2)
-        floor = np.maximum(1.0, np.abs(s_before))
-        for m, gp in pairs:
-            s_after = core.quad_form(gp, *core.mat_vec(m, b1, b2))
-            denom = np.maximum(floor, np.abs(s_after))
-            worst = max(worst, float(np.max(np.abs(s_after - s_before) / denom)))
-    return CheckResult("interval_invariance", worst, 1e-9)
+
+    def gaps():
+        for block in _blocks(trials):
+            b1, b2 = c1[block], c2[block]
+            s_before = core.quad_form(STANDARD_METRIC.g, b1, b2)
+            floor = np.maximum(1.0, np.abs(s_before))
+            for m, gp in pairs:
+                s_after = core.quad_form(gp, *core.mat_vec(m, b1, b2))
+                # denom first: in one fused expression, a fresh process took ~20% more
+                # page faults here and ran this check ~9% slower at 1e6 trials.
+                denom = np.maximum(floor, np.abs(s_after))
+                yield np.abs(s_after - s_before) / denom
+    return CheckResult("interval_invariance", _worst(gaps()), 1e-9)
 
 
 def check_light_cone_preservation(rng: np.random.Generator, trials: int) -> CheckResult:
@@ -256,13 +258,9 @@ def check_light_cone_preservation(rng: np.random.Generator, trials: int) -> Chec
     c1 = rng.uniform(0.01, 1.0, size=trials) * rng.choice([-1.0, 1.0], size=trials)
     c2 = c1 * rng.choice([-1.0, 1.0], size=trials)
     matrices = [t.m for t in _sample_family_transforms(rng, 5)]
-    worst = 0.0
-    for block in _blocks(trials):
-        b1, b2 = c1[block], c2[block]
-        for m in matrices:
-            e1, e2 = core.mat_vec(m, b1, b2)
-            worst = max(worst, float(np.max(np.abs(np.abs(e1) - np.abs(e2)))))
-    return CheckResult("light_cone_preservation", worst, 1e-12)
+    gaps = (np.abs(np.abs(e1) - np.abs(e2)) for block in _blocks(trials)
+            for e1, e2 in (core.mat_vec(m, c1[block], c2[block]) for m in matrices))
+    return CheckResult("light_cone_preservation", _worst(gaps), 1e-12)
 
 
 def check_causal_class_absoluteness(rng: np.random.Generator, trials: int) -> CheckResult:
@@ -287,12 +285,9 @@ def check_measured_speed_bound(rng: np.random.Generator, trials: int) -> CheckRe
     """
     v = rng.uniform(-0.99, 0.99, size=trials)
     matrices = [core.make_l(-1, 1.0, _sample_w(rng)).m for _ in range(5)]
-    worst = 0.0
-    for block in _blocks(trials):
-        for m in matrices:
-            e1, e2 = core.mat_vec(m, 1.0, v[block])
-            worst = max(worst, float(np.max(np.abs(e1 / e2))))
-    return CheckResult("measured_speed_bound", worst, 1.0 - 1e-9)
+    speeds = (np.abs(np.divide(*core.mat_vec(m, 1.0, v[block])))
+              for block in _blocks(trials) for m in matrices)
+    return CheckResult("measured_speed_bound", _worst(speeds), 1.0 - 1e-9)
 
 
 def check_divergence_witness() -> CheckResult:
@@ -303,8 +298,8 @@ def check_divergence_witness() -> CheckResult:
     before = core.classify_geometric(d, STANDARD_METRIC)
     after = core.classify_geometric(core.apply(t, d),
                                     core.transform_metric(t, STANDARD_METRIC))
-    worst = max(abs(before.interval_sq - 3.0), abs(after.interval_sq - 3.0),
-                abs(before.coord_speed.value - 0.5))
+    worst = _worst((abs(before.interval_sq - 3.0), abs(after.interval_sq - 3.0),
+                    abs(before.coord_speed.value - 0.5)))
     flipped = (not before.coord_superluminal and after.coord_superluminal
                and math.isinf(after.coord_speed.value)
                and before.causal_class is CausalClass.TIMELIKE

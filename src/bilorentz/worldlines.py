@@ -101,7 +101,7 @@ def coordinate_velocity(w: Worldline) -> CoordinateSpeed:
     return classify_coordinate(w.direction)
 
 
-def rest_point_worldline(w: float, tol: float = DEFAULT_TOL) -> Worldline:
+def rest_point_worldline(w: float) -> Worldline:
     """Worldline of the point pinned to second-coordinate zero by make_l(-1, 1, w).
 
     In the original coordinates this is the line x = w * c * t; the k = 1
@@ -113,8 +113,9 @@ def rest_point_worldline(w: float, tol: float = DEFAULT_TOL) -> Worldline:
     line = Worldline(anchor=TwoVector(0.0, 0.0), direction=TwoVector(1.0, w),
                      label=f"x = {w:g} ct")
     image = apply(make_l(-1, 1.0, w), line.direction)
-    if not abs(image.c2) <= tol:
-        raise RestPointViolationError(f"rest-point image c2 = {image.c2} not within {tol}")
+    if not abs(image.c2) <= DEFAULT_TOL:
+        raise RestPointViolationError(
+            f"rest-point image c2 = {image.c2} not within {DEFAULT_TOL}")
     return line
 
 

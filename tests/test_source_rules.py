@@ -14,3 +14,21 @@ def test_no_runtime_check_uses_assert(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name}: assert at lines {lines}; raise an exception instead"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_function_takes_a_tol_parameter(path):
+    # Tolerances are module constants in core, not per-call knobs.
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.arg)
+             and node.arg == "tol"]
+    assert found == [], f"{path.name}: parameter tol at lines {found}"
+
+
+def test_verify_folds_residuals_only_with_worst():
+    # The builtin max and min drop a NaN that follows a number; _worst keeps it.
+    path = next(p for p in SOURCES if p.name == "verify.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id in ("max", "min")]
+    assert found == [], f"verify.py: builtin max/min at lines {found}"

@@ -1,5 +1,7 @@
 """Verification engine behaviour."""
 
+import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -59,6 +61,89 @@ def test_planted_mat_vec_fault_fails_a_fuzz_check(monkeypatch):
     monkeypatch.setattr(core, "mat_vec", broken_mat_vec)
     rng = np.random.default_rng(0)
     assert not all(check(rng, 2000).passed for check in FUZZ_CHECKS)
+
+
+@pytest.mark.parametrize("residuals", [
+    [math.nan, 1.0, 2.0],
+    [1.0, math.nan, 2.0],
+    [1.0, 2.0, math.nan],
+    [0.5, np.array([1.0, math.nan, 3.0]), 0.25],
+], ids=["first", "middle", "last", "in-array"])
+def test_worst_keeps_nan(residuals):
+    assert math.isnan(verify._worst(residuals))
+    assert math.isnan(verify._worst(iter(residuals)))
+
+
+def test_worst_of_numbers_and_arrays():
+    assert verify._worst([]) == 0.0
+    assert verify._worst([0.5, np.array([0.25, 3.0]), 2.0]) == 3.0
+
+
+def test_nan_from_mat_vec_fails_the_max_folded_fuzz_checks(monkeypatch):
+    """Python's max drops a NaN that follows a number; these three checks
+    reported 0.0 and passed while core.mat_vec returned nothing but NaN."""
+    def nan_mat_vec(m, c1, c2):
+        nan = np.full(np.broadcast(c1, c2).shape, math.nan)
+        return nan, nan
+
+    monkeypatch.setattr(core, "mat_vec", nan_mat_vec)
+    rng = np.random.default_rng(0)
+    for check in (verify.check_interval_invariance, verify.check_light_cone_preservation,
+                  verify.check_measured_speed_bound):
+        result = check(rng, 1000)
+        assert math.isnan(result.residual) and not result.passed, result
+
+
+def test_nan_from_mat_mul_fails_the_matrix_grid_checks(monkeypatch):
+    monkeypatch.setattr(core, "_mat_mul", lambda a, b: ((math.nan,) * 2,) * 2)
+    for check in (verify.check_swap_decomposition, verify.check_inverse_law,
+                  verify.check_parity_forcing, verify.check_parity_violation_antisymmetric):
+        result = check()
+        assert math.isnan(result.residual) and not result.passed, result
+
+
+def _flip_upper_right(make_lambda):
+    def mutant(tau, k, v):
+        t = make_lambda(tau, k, v)
+        (a, b), (c, d) = t.m
+        return dataclasses.replace(t, m=((a, -b), (c, d)))
+    return mutant
+
+
+#: (core attribute, mutation of it, checks that fail at 20,000 trials and
+#: seed 0, or DomainError when run_verification raises it).
+MUTANTS = {
+    "make_lambda-off-diagonal-sign": (
+        "make_lambda", _flip_upper_right,
+        {"determinant_law", "swap_decomposition", "composition_closure",
+         "light_cone_preservation"}),
+    "make_l-drops-tau": (
+        "make_l", lambda make_l: lambda tau, k, w: dataclasses.replace(make_l(1, k, w), tau=tau),
+        {"swap_decomposition"}),
+    "gamma_antisymmetric-drops-copysign": (
+        "gamma_antisymmetric",
+        lambda gamma: lambda k, w, sign=1: gamma(k, w, sign) * math.copysign(1.0, w),
+        {"gamma_parity", "k_recovery", "swap_decomposition", "inverse_law",
+         "parity_forcing", "antisymmetric_parity_violation"}),
+    "causal_sign-reversed": (
+        "causal_sign", lambda causal_sign: lambda s2: -causal_sign(s2),
+        {"divergence_witness"}),
+    "gamma_symmetric-squares-k": (
+        "gamma_symmetric", lambda gamma: lambda k, v, sign=1: gamma(k * k, v, sign),
+        core.DomainError),
+}
+
+
+@pytest.mark.parametrize("name", MUTANTS)
+def test_verify_catches_planted_mutant(monkeypatch, name):
+    attr, mutate, caught = MUTANTS[name]
+    monkeypatch.setattr(core, attr, mutate(getattr(core, attr)))
+    if caught is core.DomainError:
+        with pytest.raises(core.DomainError):
+            run_verification(20_000, 0)
+        return
+    report = run_verification(20_000, 0)
+    assert caught <= {c.name for c in report.checks if not c.passed}
 
 
 def test_run_verification_is_the_public_checks_in_order_on_one_rng():
