@@ -9,13 +9,14 @@ dimensionless (units of c).  Two constructor families exist:
   which for k = 1 equals a coordinate swap composed with a standard boost
   at the inverse velocity 1/w.
 
-All operations are pure functions on immutable values.
+All operations are pure functions on immutable values: frozen, slotted
+dataclasses that write each field once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 Mat = tuple[tuple[float, float], tuple[float, float]]
@@ -63,23 +64,38 @@ class CausalClass(Enum):
     SPACELIKE = "spacelike"
 
 
-@dataclass(frozen=True)
+def _setters(cls) -> tuple:
+    """Each field's slot-descriptor __set__ of a slotted dataclass, in field order.
+
+    The frozen value types below validate in a hand-written __init__ (so
+    init=False: generating one costs import time), then write each field
+    once through these, where a generated __init__ would pay a generic
+    object.__setattr__ per write.  They are bound after each class statement
+    because slots=True returns a new class.  Calls in this module pass
+    fields positionally: a keyword call to a class builds a dict.
+    """
+    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class TwoVector:
     """An event or displacement (c1, c2); both components in length units."""
 
     c1: float
     c2: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "c1", float(self.c1))
-        object.__setattr__(self, "c2", float(self.c2))
-        if not (math.isfinite(self.c1) and math.isfinite(self.c2)):
-            raise ValueError(
-                f"TwoVector components must be finite, got ({self.c1}, {self.c2})"
-            )
+    def __init__(self, c1: float, c2: float):
+        c1, c2 = float(c1), float(c2)
+        if not (math.isfinite(c1) and math.isfinite(c2)):
+            raise ValueError(f"TwoVector components must be finite, got ({c1}, {c2})")
+        _set_c1(self, c1)
+        _set_c2(self, c2)
 
 
-@dataclass(frozen=True)
+_set_c1, _set_c2 = _setters(TwoVector)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Transform:
     """A 2x2 coordinate transformation plus construction provenance.
 
@@ -94,20 +110,34 @@ class Transform:
     k: float | None = None
     vel: float | None = None
 
+    def __init__(self, m: Mat, branch: BranchKind, tau: int | None = None,
+                 k: float | None = None, vel: float | None = None):
+        _set_m(self, m)
+        _set_branch(self, branch)
+        _set_tau(self, tau)
+        _set_k(self, k)
+        _set_vel(self, vel)
 
-@dataclass(frozen=True)
+
+_set_m, _set_branch, _set_tau, _set_k, _set_vel = _setters(Transform)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Metric:
     """Symmetric non-degenerate quadratic form giving the interval squared."""
 
     g: Mat
 
-    def __post_init__(self):
-        (_, b), (c, _) = self.g
+    def __init__(self, g: Mat):
+        (_, b), (c, _) = g
         if b != c:
             raise ValueError("metric matrix must be symmetric")
-        if mat_det(self.g) == 0.0:
+        if mat_det(g) == 0.0:
             raise ValueError("metric matrix must be non-degenerate")
+        _set_g(self, g)
 
+
+(_set_g,) = _setters(Metric)
 
 #: Metric of measurement-induced coordinates: interval = c1**2 - c2**2.
 STANDARD_METRIC = Metric(((1.0, 0.0), (0.0, -1.0)))
@@ -115,18 +145,24 @@ STANDARD_METRIC = Metric(((1.0, 0.0), (0.0, -1.0)))
 SWAPPED_METRIC = Metric(((-1.0, 0.0), (0.0, 1.0)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CoordinateSpeed:
     """Nonnegative |dc2/dc1| in units of c; math.inf for vertical displacements."""
 
     value: float
+
+    def __init__(self, value: float):
+        _set_value(self, value)
 
     @property
     def superluminal(self) -> bool:
         return self.value > 1.0
 
 
-@dataclass(frozen=True)
+(_set_value,) = _setters(CoordinateSpeed)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class CausalReport:
     """Joint coordinate-speed and interval-sign classification of a displacement."""
 
@@ -134,9 +170,18 @@ class CausalReport:
     interval_sq: float
     causal_class: CausalClass
 
+    def __init__(self, coord_speed: CoordinateSpeed, interval_sq: float,
+                 causal_class: CausalClass):
+        _set_coord_speed(self, coord_speed)
+        _set_interval_sq(self, interval_sq)
+        _set_causal_class(self, causal_class)
+
     @property
     def coord_superluminal(self) -> bool:
         return self.coord_speed.superluminal
+
+
+_set_coord_speed, _set_interval_sq, _set_causal_class = _setters(CausalReport)
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +228,7 @@ def make_lambda(tau: int, k: float, v: float) -> Transform:
     _check_tau(tau)
     g = gamma_symmetric(k, v, tau)
     m = ((g, -g * v), (-g * v, g))
-    return Transform(m=m, branch=BranchKind.SYMMETRIC_LAMBDA,
-                     tau=tau, k=float(k), vel=float(v))
+    return Transform(m, BranchKind.SYMMETRIC_LAMBDA, tau, float(k), float(v))
 
 
 def make_lambda_infinite_limit(tau: int, k: float) -> Transform:
@@ -200,8 +244,7 @@ def make_lambda_infinite_limit(tau: int, k: float) -> Transform:
         raise DomainError(f"infinite-velocity limit diverges for k = {k} >= 0")
     a = -tau / math.sqrt(-k)
     m = ((0.0, a), (a, 0.0))
-    return Transform(m=m, branch=BranchKind.SYMMETRIC_LAMBDA,
-                     tau=tau, k=float(k), vel=math.inf)
+    return Transform(m, BranchKind.SYMMETRIC_LAMBDA, tau, float(k), math.inf)
 
 
 def make_l(tau: int, k: float, w: float) -> Transform:
@@ -209,8 +252,7 @@ def make_l(tau: int, k: float, w: float) -> Transform:
     _check_tau(tau)
     g = gamma_antisymmetric(k, w, tau)
     m = ((g, -g * w), (-g * w, g))
-    return Transform(m=m, branch=BranchKind.ANTISYMMETRIC_L,
-                     tau=tau, k=float(k), vel=float(w))
+    return Transform(m, BranchKind.ANTISYMMETRIC_L, tau, float(k), float(w))
 
 
 def make_transform(branch: str, tau: int, k: float, vel: float) -> Transform:
@@ -279,12 +321,12 @@ def apply(t: Transform, x: TwoVector) -> TwoVector:
 
 def compose(a: Transform, b: Transform) -> Transform:
     """Matrix product a.m @ b.m: the composite applies b first, then a."""
-    return Transform(m=_mat_mul(a.m, b.m), branch=BranchKind.DERIVED)
+    return Transform(_mat_mul(a.m, b.m), BranchKind.DERIVED)
 
 
 def inverse(t: Transform) -> Transform:
     """Inverse transform; family metadata is not carried over."""
-    return Transform(m=_mat_inv(t.m), branch=BranchKind.DERIVED)
+    return Transform(_mat_inv(t.m), BranchKind.DERIVED)
 
 
 def parity_conjugate(t: Transform) -> Transform:
@@ -295,7 +337,7 @@ def parity_conjugate(t: Transform) -> Transform:
     cannot arise from the parity-covariant construction.
     """
     m = _mat_mul(PARITY_MAT, _mat_mul(t.m, PARITY_MAT))
-    return Transform(m=m, branch=BranchKind.DERIVED)
+    return Transform(m, BranchKind.DERIVED)
 
 
 def k_constant(gamma_plus: float, gamma_minus: float, v: float) -> float:
@@ -344,7 +386,9 @@ def refit(t: Transform, k: float = 1.0) -> Transform:
             cand = ctor(tau, k, vel)
         except DomainError:
             continue
-        if all(abs(cand.m[i][j] - t.m[i][j]) <= _REFIT_TOL for i in (0, 1) for j in (0, 1)):
+        (p, q), (r, s) = cand.m
+        if (abs(p - a) <= _REFIT_TOL and abs(q - b) <= _REFIT_TOL
+                and abs(r - c) <= _REFIT_TOL and abs(s - d) <= _REFIT_TOL):
             return cand
     raise NotDecomposableError(f"matrix does not fit either family at k = {k}")
 
@@ -402,8 +446,7 @@ def classify_geometric(d: TwoVector, g: Metric) -> CausalReport:
     The interval sign is the coordinate-independent notion (see causal_sign).
     """
     s2 = quad_form(g.g, d.c1, d.c2)
-    return CausalReport(coord_speed=classify_coordinate(d), interval_sq=s2,
-                        causal_class=_CLASS_BY_SIGN[causal_sign(s2)])
+    return CausalReport(classify_coordinate(d), s2, _CLASS_BY_SIGN[causal_sign(s2)])
 
 
 def measured_displacement(d_eta: TwoVector) -> TwoVector:

@@ -30,6 +30,8 @@ class CheckResult:
     name: str
     residual: float
     tolerance: float
+    #: "ExceptionType: message" when the check raised instead of finishing.
+    error: str | None = None
 
     @property
     def passed(self) -> bool:
@@ -309,26 +311,44 @@ def check_divergence_witness() -> CheckResult:
     return CheckResult("divergence_witness", worst, 1e-12)
 
 
+def _guarded(name: str, check, *args) -> CheckResult:
+    """check(*args), or a FAIL with residual NaN naming the exception it raised:
+    a broken build whose check raises is a failed identity, not bad input.
+    MemoryError propagates: a population too large to allocate is bad input."""
+    try:
+        return check(*args)
+    except MemoryError:
+        raise
+    except Exception as exc:
+        return CheckResult(name, math.nan, math.nan, f"{type(exc).__name__}: {exc}")
+
+
 def run_verification(trials: int = 100_000, seed: int = 0) -> VerificationReport:
-    """Run every identity check; grid checks ignore the trial count."""
+    """Run every identity check; grid checks ignore the trial count.
+
+    A check that raises is recorded as failed (see _guarded) and the rest
+    still run; after a fuzz check raised, later fuzz checks draw from an rng
+    in a different state than in a passing run.
+    """
     if trials < 1:
         raise ValueError("trials must be positive")
     rng = np.random.default_rng(seed)
-    checks = (
-        check_gamma_parity(),
-        check_k_recovery(),
-        check_determinant_law(),
-        check_swap_decomposition(),
-        check_inverse_law(),
-        check_parity_forcing(),
-        check_parity_violation_antisymmetric(),
-        check_composition_closure(),
-        check_interval_invariance(rng, trials),
-        check_light_cone_preservation(rng, trials),
-        check_causal_class_absoluteness(rng, trials),
-        check_measured_speed_bound(rng, trials),
-        check_divergence_witness(),
-    )
+    fuzz = (rng, trials)
+    checks = tuple(_guarded(name, check, *args) for name, check, args in (
+        ("gamma_parity", check_gamma_parity, ()),
+        ("k_recovery", check_k_recovery, ()),
+        ("determinant_law", check_determinant_law, ()),
+        ("swap_decomposition", check_swap_decomposition, ()),
+        ("inverse_law", check_inverse_law, ()),
+        ("parity_forcing", check_parity_forcing, ()),
+        ("antisymmetric_parity_violation", check_parity_violation_antisymmetric, ()),
+        ("composition_closure", check_composition_closure, ()),
+        ("interval_invariance", check_interval_invariance, fuzz),
+        ("light_cone_preservation", check_light_cone_preservation, fuzz),
+        ("causal_class_absoluteness", check_causal_class_absoluteness, fuzz),
+        ("measured_speed_bound", check_measured_speed_bound, fuzz),
+        ("divergence_witness", check_divergence_witness, ()),
+    ))
     return VerificationReport(seed=seed, trials=trials, checks=checks)
 
 
@@ -336,8 +356,10 @@ def format_report(report: VerificationReport) -> str:
     lines = [f"seed={report.seed} trials={report.trials}"]
     for c in report.checks:
         status = "PASS" if c.passed else "FAIL"
-        lines.append(f"{c.name}: max_residual={c.residual:.6e} "
-                     f"tol={c.tolerance:.10g} {status}")
+        line = f"{c.name}: max_residual={c.residual:.6e} tol={c.tolerance:.10g} {status}"
+        if c.error is not None and not c.passed:
+            line += f" raised {c.error}"
+        lines.append(line)
     failed = sum(1 for c in report.checks if not c.passed)
     if failed:
         lines.append(f"{failed} of {len(report.checks)} identity checks failed")

@@ -155,6 +155,18 @@ def test_verify_detects_sign_flip(capsys, monkeypatch):
     assert "FAIL" in out
 
 
+def test_verify_check_that_raises_is_a_failure_not_an_input_error(capsys, monkeypatch):
+    """A broken build whose check raises exits 1 and names the check, not 2."""
+    gamma = core.gamma_symmetric
+    monkeypatch.setattr(core, "gamma_symmetric",
+                        lambda k, v, sign=1: gamma(k * k, v, sign))
+    code, out, err = run_cli(capsys, "verify", "--trials", "2000", "--seed", "0")
+    assert code == 1
+    assert err == ""
+    assert "gamma_parity: max_residual=nan tol=nan FAIL raised DomainError: " in out
+    assert out.endswith("4 of 13 identity checks failed\n")
+
+
 def test_verify_calls_through_cli_verify(capsys, monkeypatch):
     """``cli.verify`` is the module ``verify`` runs, so patching it takes effect."""
     calls = []

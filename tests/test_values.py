@@ -1,0 +1,131 @@
+"""Contract of the core value types: frozen, slotted, validated dataclasses."""
+
+import dataclasses
+import math
+import pickle
+import weakref
+
+import pytest
+
+from bilorentz.core import (
+    BranchKind,
+    CausalClass,
+    CausalReport,
+    CoordinateSpeed,
+    Metric,
+    Transform,
+    TwoVector,
+    make_lambda,
+)
+
+M = ((1.0, 0.5), (0.5, 1.0))
+DERIVED = BranchKind.DERIVED
+
+#: class -> (positional args, the same value by keyword, its repr at this
+#: value, its field names)
+VALUES = {
+    TwoVector: ((1, 2.5), {"c1": 1.0, "c2": 2.5},
+                "TwoVector(c1=1.0, c2=2.5)", ("c1", "c2")),
+    Transform: ((M, DERIVED), {"m": M, "branch": DERIVED, "tau": None, "k": None, "vel": None},
+                "Transform(m=((1.0, 0.5), (0.5, 1.0)), branch=<BranchKind.DERIVED: 'derived'>, "
+                "tau=None, k=None, vel=None)", ("m", "branch", "tau", "k", "vel")),
+    Metric: ((M,), {"g": M}, "Metric(g=((1.0, 0.5), (0.5, 1.0)))", ("g",)),
+    CoordinateSpeed: ((0.5,), {"value": 0.5}, "CoordinateSpeed(value=0.5)", ("value",)),
+    CausalReport: ((CoordinateSpeed(0.5), 3.0, CausalClass.TIMELIKE),
+                   {"coord_speed": CoordinateSpeed(0.5), "interval_sq": 3.0,
+                    "causal_class": CausalClass.TIMELIKE},
+                   "CausalReport(coord_speed=CoordinateSpeed(value=0.5), interval_sq=3.0, "
+                   "causal_class=<CausalClass.TIMELIKE: 'timelike'>)",
+                   ("coord_speed", "interval_sq", "causal_class")),
+}
+
+classes = pytest.mark.parametrize("cls", VALUES, ids=lambda cls: cls.__name__)
+
+
+def value(cls):
+    return cls(*VALUES[cls][0])
+
+
+@classes
+def test_fields_cannot_be_assigned_or_deleted(cls):
+    v = value(cls)
+    name = VALUES[cls][3][0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(v, name, 0.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        delattr(v, name)
+    assert v == value(cls)
+
+
+@classes
+def test_positional_and_keyword_values_are_equal_and_hash_equal(cls):
+    v, w = value(cls), cls(**VALUES[cls][1])
+    assert v == w and hash(v) == hash(w)
+    assert v != dataclasses.astuple(v)
+
+
+def test_two_vector_is_not_a_tuple():
+    assert TwoVector(1, 2) != (1.0, 2.0)
+    assert not isinstance(TwoVector(1, 2), tuple)
+
+
+@classes
+def test_repr_is_unchanged(cls):
+    assert repr(value(cls)) == VALUES[cls][2]
+
+
+@classes
+def test_field_names_are_unchanged(cls):
+    assert tuple(f.name for f in dataclasses.fields(cls)) == VALUES[cls][3]
+
+
+def test_replace_goes_through_init():
+    t = make_lambda(1, 1.0, 0.5)
+    flipped = dataclasses.replace(t, tau=-1)
+    assert (flipped.m, flipped.branch, flipped.tau, flipped.k, flipped.vel) == \
+        (t.m, t.branch, -1, t.k, t.vel)
+    assert dataclasses.replace(TwoVector(1.0, 2.0), c2=3) == TwoVector(1.0, 3.0)
+    with pytest.raises(ValueError, match="must be finite"):
+        dataclasses.replace(TwoVector(1.0, 2.0), c2=math.nan)
+
+
+@classes
+def test_pickle_round_trip(cls):
+    v = value(cls)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(v, protocol)) == v
+
+
+def test_two_vector_coerces_to_float():
+    v = TwoVector(1, True)
+    assert type(v.c1) is float and type(v.c2) is float
+    assert (v.c1, v.c2) == (1.0, 1.0)
+
+
+@pytest.mark.parametrize("c1, c2, shown", [
+    (math.inf, 0, "(inf, 0.0)"),
+    (0, math.nan, "(0.0, nan)"),
+    (1.0, -math.inf, "(1.0, -inf)"),
+])
+def test_two_vector_rejects_non_finite(c1, c2, shown):
+    with pytest.raises(ValueError) as info:
+        TwoVector(c1, c2)
+    assert str(info.value) == f"TwoVector components must be finite, got {shown}"
+
+
+@pytest.mark.parametrize("g, message", [
+    (((1.0, 2.0), (0.0, 1.0)), "metric matrix must be symmetric"),
+    (((1.0, 1.0), (1.0, 1.0)), "metric matrix must be non-degenerate"),
+])
+def test_metric_rejects_bad_forms(g, message):
+    with pytest.raises(ValueError) as info:
+        Metric(g)
+    assert str(info.value) == message
+
+
+@classes
+def test_instances_are_slotted(cls):
+    v = value(cls)
+    assert not hasattr(v, "__dict__")
+    with pytest.raises(TypeError):
+        weakref.ref(v)

@@ -110,8 +110,7 @@ def _flip_upper_right(make_lambda):
     return mutant
 
 
-#: (core attribute, mutation of it, checks that fail at 20,000 trials and
-#: seed 0, or DomainError when run_verification raises it).
+#: (core attribute, mutation of it, checks that fail at 20,000 trials and seed 0).
 MUTANTS = {
     "make_lambda-off-diagonal-sign": (
         "make_lambda", _flip_upper_right,
@@ -130,7 +129,7 @@ MUTANTS = {
         {"divergence_witness"}),
     "gamma_symmetric-squares-k": (
         "gamma_symmetric", lambda gamma: lambda k, v, sign=1: gamma(k * k, v, sign),
-        core.DomainError),
+        {"gamma_parity", "k_recovery", "determinant_law", "parity_forcing"}),
 }
 
 
@@ -138,12 +137,45 @@ MUTANTS = {
 def test_verify_catches_planted_mutant(monkeypatch, name):
     attr, mutate, caught = MUTANTS[name]
     monkeypatch.setattr(core, attr, mutate(getattr(core, attr)))
-    if caught is core.DomainError:
-        with pytest.raises(core.DomainError):
-            run_verification(20_000, 0)
-        return
     report = run_verification(20_000, 0)
     assert caught <= {c.name for c in report.checks if not c.passed}
+
+
+def test_a_check_that_raises_fails_under_its_own_name(monkeypatch):
+    """Each raising check becomes a FAIL with residual NaN and its exception
+    named; the others still run, and every check keeps its report name."""
+    good = run_verification(trials=1000, seed=0)
+
+    def raises(*args):
+        raise ValueError("planted")
+
+    for check in GRID_CHECKS + FUZZ_CHECKS + (verify.check_divergence_witness,):
+        monkeypatch.setattr(verify, check.__name__, raises)
+    report = run_verification(trials=1000, seed=0)
+    assert [c.name for c in report.checks] == [c.name for c in good.checks]
+    for c in report.checks:
+        assert math.isnan(c.residual) and not c.passed
+        assert c.error == "ValueError: planted"
+    text = format_report(report)
+    assert text.count("FAIL raised ValueError: planted") == 13
+    assert text.endswith("13 of 13 identity checks failed")
+
+
+def test_memory_error_from_a_check_propagates(monkeypatch):
+    def out_of_memory(rng, trials):
+        raise MemoryError()
+
+    monkeypatch.setattr(verify, "check_interval_invariance", out_of_memory)
+    with pytest.raises(MemoryError):
+        run_verification(trials=1000, seed=0)
+
+
+def test_error_is_printed_only_on_fail_lines():
+    results = (verify.CheckResult("kept", 0.0, 1.0, "ValueError: stale"),
+               verify.CheckResult("broken", math.nan, math.nan, "DomainError: k"))
+    lines = format_report(VerificationReport(seed=0, trials=1, checks=results)).splitlines()
+    assert lines[1] == "kept: max_residual=0.000000e+00 tol=1 PASS"
+    assert lines[2] == "broken: max_residual=nan tol=nan FAIL raised DomainError: k"
 
 
 def test_run_verification_is_the_public_checks_in_order_on_one_rng():
