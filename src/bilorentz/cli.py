@@ -168,9 +168,9 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--builtin", choices=tuple(_BUILTIN_SCENARIOS))
     source.add_argument("--scenario", help="path to a scenario JSON file")
     p.add_argument("--out", required=True, help="output path prefix")
-    p.add_argument("--width", type=int, default=480)
-    p.add_argument("--height", type=int, default=480)
-    p.add_argument("--decimals", type=int, default=6)
+    p.add_argument("--width", type=int, default=DiagramStyle.width_px)
+    p.add_argument("--height", type=int, default=DiagramStyle.height_px)
+    p.add_argument("--decimals", type=int, default=DiagramStyle.decimal_places)
     p.set_defaults(func=_cmd_diagram)
 
     return parser

@@ -25,7 +25,8 @@ IDENTITY_MAT: Mat = ((1.0, 0.0), (0.0, 1.0))
 SWAP_MAT: Mat = ((0.0, 1.0), (1.0, 0.0))
 PARITY_MAT: Mat = ((1.0, 0.0), (0.0, -1.0))
 
-#: Absolute comparison tolerance for O(1) matrix entries and interval signs.
+#: Comparison tolerance: absolute in causal_sign and in the worldlines light-ray
+#: and rest-point checks; _mat_inv scales it by the product of the row norms.
 DEFAULT_TOL = 1e-12
 _REFIT_TOL = 1e-9  # refit's elementwise match to a family form
 
@@ -368,24 +369,25 @@ def swap_decompose(t: Transform) -> Transform:
 def refit(t: Transform, k: float = 1.0) -> Transform:
     """Match a matrix back onto a family form with the given k.
 
-    Tries the symmetric family, then the antisymmetric one, comparing the
-    reconstructed matrix elementwise within 1e-9.  Useful for checking that a
-    product of family transforms lands back in a family.  Raises
-    NotDecomposableError when the matrix fits neither family at this k.
+    Picks the family whose (disjoint) domain holds vel = -b/a: symmetric when
+    k*vel**2 < 1, else antisymmetric; the reconstructed matrix must match
+    elementwise within 1e-9.  Useful for checking that a product of family
+    transforms lands back in a family.  Raises NotDecomposableError when the
+    matrix fits neither family at this k.
     """
     (a, b), (c, d) = t.m
     if a == 0.0 or abs(a - d) > _REFIT_TOL or abs(b - c) > _REFIT_TOL:
         raise NotDecomposableError("matrix is not of the form [[p, q], [q, p]]")
     vel = -b / a
-    sign_a = 1 if a > 0 else -1
-    candidates = [(make_lambda, sign_a)]
-    if vel != 0.0:
-        candidates.append((make_l, sign_a * (1 if vel > 0 else -1)))
-    for ctor, tau in candidates:
-        try:
-            cand = ctor(tau, k, vel)
-        except DomainError:
-            continue
+    tau = 1 if a > 0 else -1
+    try:
+        if k * vel * vel < 1.0:
+            cand = make_lambda(tau, k, vel)
+        else:
+            cand = make_l(tau if vel > 0 else -tau, k, vel)
+    except DomainError:
+        pass
+    else:
         (p, q), (r, s) = cand.m
         if (abs(p - a) <= _REFIT_TOL and abs(q - b) <= _REFIT_TOL
                 and abs(r - c) <= _REFIT_TOL and abs(s - d) <= _REFIT_TOL):

@@ -15,6 +15,9 @@ from .core import TwoVector
 from .worldlines import Scenario, Window, Worldline, WorldlineKind, transform_worldline
 
 _MARGIN = 40.0
+_AXIS_LABELS = ("ξ₁", "ξ₂")
+_TRANSFORMED_AXIS_LABELS = ("η₁", "η₂")
+_STROKE = {WorldlineKind.PARTICLE: "blue", WorldlineKind.LIGHT_RAY: "red"}
 
 
 def escape(text: str) -> str:
@@ -34,10 +37,6 @@ class OutOfWindowError(ValueError):
 class DiagramStyle:
     width_px: int = 480
     height_px: int = 480
-    particle_color: str = "blue"
-    lightray_color: str = "red"
-    axis_labels: tuple[str, str] = ("ξ₁", "ξ₂")
-    transformed_axis_labels: tuple[str, str] = ("η₁", "η₂")
     decimal_places: int = 6
 
     def __post_init__(self):
@@ -157,13 +156,9 @@ def _render_one(title: str, worldlines: tuple[Worldline, ...], window: Window,
         if seg is None:
             continue
         (p1x, p1y), (p2x, p2y) = doc.to_pixel(seg[0]), doc.to_pixel(seg[1])
-        if wl.kind is WorldlineKind.LIGHT_RAY:
-            kind, color = "lightray", style.lightray_color
-        else:
-            kind, color = "particle", style.particle_color
         elements.append(
-            f'<line class="worldline {kind}" x1="{_fmt(p1x, dp)}" y1="{_fmt(p1y, dp)}" '
-            f'x2="{_fmt(p2x, dp)}" y2="{_fmt(p2y, dp)}" stroke="{escape(color)}" '
+            f'<line class="worldline {wl.kind.value}" x1="{_fmt(p1x, dp)}" y1="{_fmt(p1y, dp)}" '
+            f'x2="{_fmt(p2x, dp)}" y2="{_fmt(p2y, dp)}" stroke="{_STROKE[wl.kind]}" '
             f'stroke-width="1.5"><title>{escape(wl.label)}</title></line>')
         drawn += 1
     if drawn == 0:
@@ -177,13 +172,11 @@ def render_pair(scenario: Scenario,
     """Render the scenario in original and in transformed coordinates."""
     style = style if style is not None else DiagramStyle()
     original = _render_one(f"{scenario.name} (original coordinates)",
-                           scenario.worldlines, scenario.window, style,
-                           style.axis_labels)
+                           scenario.worldlines, scenario.window, style, _AXIS_LABELS)
     moved = tuple(transform_worldline(scenario.transform, wl)
                   for wl in scenario.worldlines)
     transformed = _render_one(f"{scenario.name} (transformed coordinates)",
-                              moved, scenario.window, style,
-                              style.transformed_axis_labels)
+                              moved, scenario.window, style, _TRANSFORMED_AXIS_LABELS)
     return original, transformed
 
 

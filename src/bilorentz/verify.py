@@ -67,7 +67,7 @@ def _w_grid() -> np.ndarray:
     return np.concatenate([half, -half])
 
 
-def _lambda_domain_velocities(k: float, count: int = 50) -> np.ndarray:
+def _lambda_domain_velocities(k: float, count: int) -> np.ndarray:
     """Velocities spanning the k*v**2 < 1 domain, both signs, zero excluded."""
     if k > 0:
         half = np.linspace(0.01, 0.99, count) / math.sqrt(k)
@@ -76,7 +76,7 @@ def _lambda_domain_velocities(k: float, count: int = 50) -> np.ndarray:
     return np.concatenate([half, -half])
 
 
-def _l_domain_velocities(k: float, count: int = 50) -> np.ndarray:
+def _l_domain_velocities(k: float, count: int) -> np.ndarray:
     """Velocities spanning the k*w**2 > 1 domain; empty for k <= 0."""
     if k <= 0:
         return np.array([])
@@ -222,11 +222,8 @@ def check_composition_closure() -> CheckResult:
         for u1 in vels:
             for u2 in vels:
                 prod = core.compose(make(tau, 1.0, u1), make(tau, 1.0, u2))
-                try:
-                    fitted = core.refit(prod, k=1.0)
-                except core.NotDecomposableError:
-                    fitted = None
-                if fitted is None or fitted.branch is not BranchKind.SYMMETRIC_LAMBDA:
+                fitted = core.refit(prod, k=1.0)
+                if fitted.branch is not BranchKind.SYMMETRIC_LAMBDA:
                     return CheckResult("composition_closure", math.inf, 1e-9)
                 gaps.append(abs(fitted.vel - (u1 + u2) / (1.0 + u1 * u2)))
     return CheckResult("composition_closure", _worst(gaps), 1e-9)

@@ -113,6 +113,20 @@ def test_compose_two_antisymmetric(capsys):
     assert abs(vel - 5.0 / 7.0) < 1e-12
 
 
+def test_compose_without_a_k1_fit(capsys):
+    code, out, _ = run_cli(capsys, "compose", "lambda,1,4,0.25", "lambda,1,4,0.25")
+    assert code == 0
+    assert out.endswith("\nfit: none (no k=1 family form matches)\n")
+
+
+def test_transform_vector_needs_two_components(capsys):
+    code, out, err = run_cli(capsys, "transform", "--branch", "l", "--tau", "-1",
+                             "--k", "1", "--vel", "2", "--vec=1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: expected two comma-separated numbers")
+
+
 def test_compose_bad_spec_exits_2(capsys):
     code, _, err = run_cli(capsys, "compose", "lambda,1,1", "lambda,1,1,0.5")
     assert code == 2
@@ -165,6 +179,20 @@ def test_verify_check_that_raises_is_a_failure_not_an_input_error(capsys, monkey
     assert err == ""
     assert "gamma_parity: max_residual=nan tol=nan FAIL raised DomainError: " in out
     assert out.endswith("4 of 13 identity checks failed\n")
+
+
+def test_verify_broken_fit_fails_composition_closure(capsys, monkeypatch):
+    """A refit that raises fails composition_closure by name, with exit 1."""
+    def no_fit(t, k=1.0):
+        raise core.NotDecomposableError("planted")
+
+    monkeypatch.setattr(core, "refit", no_fit)
+    code, out, err = run_cli(capsys, "verify", "--trials", "2000", "--seed", "0")
+    assert code == 1
+    assert err == ""
+    assert ("composition_closure: max_residual=nan tol=nan FAIL "
+            "raised NotDecomposableError: planted") in out
+    assert out.endswith("1 of 13 identity checks failed\n")
 
 
 def test_verify_calls_through_cli_verify(capsys, monkeypatch):

@@ -153,11 +153,3 @@ def test_custom_decimal_places_are_used():
     svg = original.to_svg()
     assert "40.000" in svg
     assert ".000000" not in svg
-
-
-def test_colors_follow_style():
-    style = DiagramStyle(particle_color="#123456", lightray_color="#abcdef")
-    original, _ = render_pair(build_fig2_scenario(), style)
-    svg = original.to_svg()
-    assert 'stroke="#123456"' in svg
-    assert 'stroke="#abcdef"' in svg

@@ -116,6 +116,22 @@ def test_bad_tau_rejected():
         scenario_from_dict(data)
 
 
+@pytest.mark.parametrize("path, value, message", [
+    (("transform",), [1, -1], "transform must be an object"),
+    (("worldlines", 0, "label"), 7, r"worldlines\[0\]\.label must be a string"),
+    (("worldlines",), {}, "worldlines must be an array"),
+    (("events",), "X", "events must be an array"),
+])
+def test_wrong_json_type_names_its_path(path, value, message):
+    data = scenario_to_dict(build_fig3_scenario())
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    with pytest.raises(ScenarioFormatError, match=message):
+        scenario_from_dict(data)
+
+
 def test_out_of_domain_velocity_is_a_format_error():
     data = scenario_to_dict(build_fig3_scenario())
     data["transform"] = {"branch": "lambda", "tau": 1, "k": 1, "vel": 2}

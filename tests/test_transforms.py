@@ -23,6 +23,7 @@ from bilorentz import (
     make_l,
     make_lambda,
     make_lambda_infinite_limit,
+    make_transform,
     parity_conjugate,
     refit,
     swap_decompose,
@@ -270,6 +271,41 @@ def test_refit_recovers_antisymmetric_family():
 def test_refit_rejects_non_family_matrix():
     with pytest.raises(NotDecomposableError):
         refit(Transform(m=((2.0, 0.0), (0.0, 1.0)), branch=BranchKind.DERIVED))
+
+
+@pytest.mark.parametrize("m", [((2.0, 0.0), (0.0, 2.0)), ((1.0, -1.0), (-1.0, 1.0))],
+                         ids=["in-no-family", "k-vel2-is-1"])
+def test_refit_rejects_family_form_outside_both_families(m):
+    # [[2, 0], [0, 2]] has vel 0 but is not the identity; [[1, -1], [-1, 1]] has
+    # k*vel**2 = 1, on the boundary of both domains.
+    with pytest.raises(NotDecomposableError, match="does not fit either family at k = 1.0"):
+        refit(Transform(m=m, branch=BranchKind.DERIVED), k=1.0)
+
+
+@pytest.mark.parametrize("make, vel", [(make_lambda, 0.5), (make_lambda, -0.5),
+                                       (make_l, 2.0), (make_l, -2.0)])
+@pytest.mark.parametrize("tau", [1, -1])
+def test_refit_recovers_each_family_tau_and_velocity_sign(make, tau, vel):
+    t = make(tau, 1.0, vel)
+    assert refit(Transform(m=t.m, branch=BranchKind.DERIVED), k=1.0) == t
+
+
+@pytest.mark.parametrize("branch, make, vel", [("lambda", make_lambda, 0.5),
+                                               ("l", make_l, 2.0)])
+@pytest.mark.parametrize("tau", [1, -1])
+def test_make_transform_dispatches_on_branch(branch, make, vel, tau):
+    assert make_transform(branch, tau, 1.0, vel) == make(tau, 1.0, vel)
+
+
+def test_make_transform_infinite_velocity():
+    assert make_transform("lambda", -1, -4.0, math.inf) == make_lambda_infinite_limit(-1, -4.0)
+    with pytest.raises(DomainError):
+        make_transform("l", 1, 1.0, math.inf)
+
+
+def test_make_transform_rejects_unknown_branch():
+    with pytest.raises(DomainError, match="got 'L'"):
+        make_transform("L", 1, 1.0, 0.5)
 
 
 def test_two_vector_rejects_non_finite():
