@@ -60,7 +60,6 @@ from .scenario_io import (
 from .worldlines import (
     FIG2_PARTICLE_SPEEDS,
     LightRayViolationError,
-    RestPointViolationError,
     Scenario,
     Window,
     Worldline,
@@ -106,7 +105,6 @@ __all__ = [
     "Metric",
     "NotDecomposableError",
     "OutOfWindowError",
-    "RestPointViolationError",
     "Scenario",
     "ScenarioFormatError",
     "SingularMatrixError",

@@ -25,10 +25,9 @@ IDENTITY_MAT: Mat = ((1.0, 0.0), (0.0, 1.0))
 SWAP_MAT: Mat = ((0.0, 1.0), (1.0, 0.0))
 PARITY_MAT: Mat = ((1.0, 0.0), (0.0, -1.0))
 
-#: Comparison tolerance: absolute in causal_sign and in the worldlines light-ray
-#: and rest-point checks; _mat_inv scales it by the product of the row norms.
+#: The one zero test: a computed quantity counts as zero when its magnitude is at most
+#: DEFAULT_TOL times the size of the terms it came from, so no answer depends on the unit.
 DEFAULT_TOL = 1e-12
-_REFIT_TOL = 1e-9  # refit's elementwise match to a family form
 
 
 def mat_det(m: Mat) -> float:
@@ -198,9 +197,9 @@ def _check_k(k: float) -> None:
 def gamma_symmetric(k: float, v: float, sign: int = 1) -> float:
     """Even gamma factor sign / sqrt(1 - k*v**2), defined for k*v**2 < 1."""
     _check_k(k)
-    if not math.isfinite(v):
-        raise DomainError(f"velocity must be finite, got {v}")
     kv2 = k * v * v
+    if not math.isfinite(kv2):  # an overflow would give gamma = 0; catches inf or NaN v too
+        raise DomainError(f"k*v**2 must be finite, got {kv2} for k = {k}, v = {v}")
     if not kv2 < 1.0:
         raise DomainError(f"symmetric family undefined for k*v**2 = {kv2} >= 1")
     return sign / math.sqrt(1.0 - kv2)
@@ -209,11 +208,11 @@ def gamma_symmetric(k: float, v: float, sign: int = 1) -> float:
 def gamma_antisymmetric(k: float, w: float, sign: int = 1) -> float:
     """Odd gamma factor sign * (w/|w|) / sqrt(k*w**2 - 1), defined for k*w**2 > 1."""
     _check_k(k)
-    if not math.isfinite(w):
-        raise DomainError(f"velocity must be finite, got {w}")
     if w == 0.0:
         raise DomainError("antisymmetric gamma undefined at w = 0")
     kw2 = k * w * w
+    if not math.isfinite(kw2):  # an overflow would give gamma = 0; catches inf or NaN w too
+        raise DomainError(f"k*w**2 must be finite, got {kw2} for k = {k}, w = {w}")
     if not kw2 > 1.0:
         raise DomainError(f"antisymmetric family undefined for k*w**2 = {kw2} <= 1")
     return sign * math.copysign(1.0, w) / math.sqrt(kw2 - 1.0)
@@ -369,29 +368,27 @@ def swap_decompose(t: Transform) -> Transform:
 def refit(t: Transform, k: float = 1.0) -> Transform:
     """Match a matrix back onto a family form with the given k.
 
-    Picks the family whose (disjoint) domain holds vel = -b/a: symmetric when
-    k*vel**2 < 1, else antisymmetric; the reconstructed matrix must match
-    elementwise within 1e-9.  Useful for checking that a product of family
-    transforms lands back in a family.  Raises NotDecomposableError when the
-    matrix fits neither family at this k.
+    [[a, b], [c, d]] needs d = a and c = b within DEFAULT_TOL * (|a| + |b|); the
+    invariant a**2 - k*b**2 is then +1 on the symmetric family and -1 on the
+    antisymmetric one, within DEFAULT_TOL * (a**2 + |k|*b**2), and vel = -b/a.
+    Raises NotDecomposableError when the matrix fits neither family at this k,
+    or when vel rounds onto the edge of the family's domain.
     """
     (a, b), (c, d) = t.m
-    if a == 0.0 or abs(a - d) > _REFIT_TOL or abs(b - c) > _REFIT_TOL:
+    size = abs(a) + abs(b)
+    if a == 0.0 or abs(a - d) > DEFAULT_TOL * size or abs(b - c) > DEFAULT_TOL * size:
         raise NotDecomposableError("matrix is not of the form [[p, q], [q, p]]")
     vel = -b / a
     tau = 1 if a > 0 else -1
+    q = a * a - k * b * b
+    tol = DEFAULT_TOL * (a * a + abs(k) * b * b)
     try:
-        if k * vel * vel < 1.0:
-            cand = make_lambda(tau, k, vel)
-        else:
-            cand = make_l(tau if vel > 0 else -tau, k, vel)
+        if abs(q - 1.0) <= tol:
+            return make_lambda(tau, k, vel)
+        if abs(q + 1.0) <= tol:
+            return make_l(tau if vel > 0 else -tau, k, vel)
     except DomainError:
         pass
-    else:
-        (p, q), (r, s) = cand.m
-        if (abs(p - a) <= _REFIT_TOL and abs(q - b) <= _REFIT_TOL
-                and abs(r - c) <= _REFIT_TOL and abs(s - d) <= _REFIT_TOL):
-            return cand
     raise NotDecomposableError(f"matrix does not fit either family at k = {k}")
 
 
@@ -403,6 +400,13 @@ def quad_form(g: Mat, c1, c2):
     """(c1, c2)^T g (c1, c2); c1 and c2 may be floats or ndarrays."""
     (g11, g12), (g21, g22) = g
     return (g11 * c1 + g12 * c2) * c1 + (g21 * c1 + g22 * c2) * c2
+
+
+def form_size(g: Mat, c1, c2):
+    """(|g11| + |g12| + |g21| + |g22|) * (c1**2 + c2**2), an upper bound on the
+    summed magnitudes of the terms quad_form adds; c1 and c2 may be floats or ndarrays."""
+    (g11, g12), (g21, g22) = g
+    return (abs(g11) + abs(g12) + abs(g21) + abs(g22)) * (c1 * c1 + c2 * c2)
 
 
 def interval_squared(d: TwoVector, g: Metric) -> float:
@@ -432,10 +436,12 @@ def classify_coordinate(d: TwoVector) -> CoordinateSpeed:
     return CoordinateSpeed(abs(d.c2 / d.c1))
 
 
-def causal_sign(s2):
-    """Interval-sign class: 1 above +DEFAULT_TOL (timelike), -1 below -DEFAULT_TOL
-    (spacelike), 0 in between (lightlike); s2 may be a float or an ndarray."""
-    return 1 * (s2 > DEFAULT_TOL) - 1 * (s2 < -DEFAULT_TOL)
+def causal_sign(s2, size):
+    """Interval-sign class: 0 (lightlike) when |s2| <= DEFAULT_TOL * size, else 1
+    (timelike) or -1 (spacelike) by the sign of s2.  size bounds the terms s2 was
+    summed from (see form_size); s2 and size may be floats or ndarrays."""
+    tol = DEFAULT_TOL * size
+    return (s2 > tol) * 1 - (s2 < -tol)
 
 
 #: CausalClass by causal_sign value; index -1 is the spacelike entry.
@@ -448,7 +454,8 @@ def classify_geometric(d: TwoVector, g: Metric) -> CausalReport:
     The interval sign is the coordinate-independent notion (see causal_sign).
     """
     s2 = quad_form(g.g, d.c1, d.c2)
-    return CausalReport(classify_coordinate(d), s2, _CLASS_BY_SIGN[causal_sign(s2)])
+    sign = causal_sign(s2, form_size(g.g, d.c1, d.c2))
+    return CausalReport(classify_coordinate(d), s2, _CLASS_BY_SIGN[sign])
 
 
 def measured_displacement(d_eta: TwoVector) -> TwoVector:

@@ -142,6 +142,27 @@ def test_transform_infinite_k_exits_2(capsys, k):
     assert err.startswith("error: k must be finite")
 
 
+@pytest.mark.parametrize("branch, k, vel", [("l", "1", "1e200"), ("lambda", "-1", "1e300")])
+def test_transform_overflowing_k_v2_exits_2(capsys, branch, k, vel):
+    code, out, err = run_cli(capsys, "transform", "--branch", branch, "--tau", "1",
+                             f"--k={k}", "--vel", vel, "--vec", "1,1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: k*") and err.count("\n") == 1
+
+
+def test_classify_is_unit_free(capsys):
+    code, out, _ = run_cli(capsys, "classify", "--vec=1e-7,0")
+    assert code == 0
+    assert out.splitlines()[-1] == "causal_class: timelike"
+
+
+def test_compose_fits_a_product_near_the_light_cone(capsys):
+    # 50-digit velocity sum: 1.998 / 1.998001 = 0.9999994994997500001...
+    code, out, _ = run_cli(capsys, "compose", "lambda,1,1,0.999", "lambda,1,1,0.999")
+    assert code == 0
+    assert out.splitlines()[-1] == "fit: branch=lambda tau=1 k=1.0 vel=0.99999949949975"
+
+
 def test_verify_small_run_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--trials", "2000", "--seed", "42")
     assert code == 0

@@ -70,6 +70,17 @@ def test_gammas_reject_non_finite_k(k):
         gamma_antisymmetric(k, 2.0)
 
 
+@pytest.mark.parametrize("gamma, k, v", [
+    (gamma_symmetric, -1.0, 1e300), (gamma_symmetric, -1e300, 1e10),
+    (gamma_antisymmetric, 1.0, 1e200), (gamma_antisymmetric, 0.25, -1e300),
+    (gamma_antisymmetric, 1.0, math.inf), (gamma_symmetric, 0.0, math.nan),
+])
+def test_gammas_reject_a_non_finite_k_v2(gamma, k, v):
+    # An overflowing k*v**2 would give gamma = 0, hence an all-zero transform.
+    with pytest.raises(DomainError, match=r"k\*[vw]\*\*2 must be finite"):
+        gamma(k, v)
+
+
 def test_k_constant_recovers_unity_from_symmetric_pair():
     pair = (gamma_symmetric(1.0, 0.5), gamma_symmetric(1.0, -0.5))
     assert k_constant(pair[0], pair[1], 0.5) == pytest.approx(1.0, abs=1e-12)

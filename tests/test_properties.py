@@ -19,10 +19,12 @@ from bilorentz import (
     transform_metric,
 )
 
-speeds = st.floats(min_value=-0.99, max_value=0.99, allow_nan=False)
-w_magnitudes = st.floats(min_value=1.05, max_value=50.0, allow_nan=False)
+speeds = st.floats(min_value=-0.9999, max_value=0.9999, allow_nan=False)
+w_magnitudes = st.floats(min_value=1.0001, max_value=1e4, allow_nan=False)
 signs = st.sampled_from([1.0, -1.0])
 coords = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
+#: One length unit per example, 1e-100 to 1e100, so both coordinates share a scale.
+units = st.integers(min_value=-100, max_value=100).map(lambda e: 10.0 ** e)
 
 
 @given(k=st.floats(0.25, 1.0), v=st.floats(0.01, 0.9))
@@ -86,19 +88,21 @@ def test_measured_speed_stays_subluminal(v, magnitude, sign):
 
 
 @settings(max_examples=200, deadline=None)
-@given(c1=coords, c2=coords, magnitude=w_magnitudes, sign=signs)
-def test_causal_class_is_absolute(c1, c2, magnitude, sign):
-    d = TwoVector(c1, c2)
-    assume(abs(c1) + abs(c2) > 1e-6)
+@given(c1=coords, c2=coords, unit=units, magnitude=w_magnitudes, sign=signs)
+def test_causal_class_is_absolute(c1, c2, unit, magnitude, sign):
+    d = TwoVector(c1 * unit, c2 * unit)
+    size = d.c1 * d.c1 + d.c2 * d.c2
+    assume(size > 1e-290)  # squares stay normal floats: the stated domain ends at 1e-150
     s = interval_squared(d, STANDARD_METRIC)
-    assume(abs(s) > 1e-6)  # stay clear of the lightlike tolerance band
+    assume(abs(s) > 1e-6 * size)  # stay clear of the lightlike tolerance band
     t = make_l(-1, 1.0, magnitude * sign)
     before = classify_geometric(d, STANDARD_METRIC)
     after = classify_geometric(apply(t, d), transform_metric(t, STANDARD_METRIC))
     assert before.causal_class is after.causal_class
 
 
-@given(magnitude=st.floats(min_value=1.05, max_value=100.0), sign=signs)
+# The absolute 1e-12 gap grows like gamma**2 as |w| -> 1, so these stop at 1.01.
+@given(magnitude=st.floats(min_value=1.01, max_value=1e4), sign=signs)
 def test_swap_decomposition_identity(magnitude, sign):
     w = magnitude * sign
     lam = np.asarray(make_lambda(1, 1.0, 1.0 / w).m)
@@ -107,7 +111,7 @@ def test_swap_decomposition_identity(magnitude, sign):
     assert np.max(np.abs(swap @ lam - ell)) <= 1e-12
 
 
-@given(magnitude=st.floats(min_value=1.05, max_value=100.0), sign=signs)
+@given(magnitude=st.floats(min_value=1.01, max_value=1e4), sign=signs)
 def test_inverse_law_identity(magnitude, sign):
     w = magnitude * sign
     prod = np.asarray(make_l(-1, 1.0, w).m) @ np.asarray(make_l(-1, 1.0, -w).m)

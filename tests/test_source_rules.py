@@ -32,3 +32,24 @@ def test_verify_folds_residuals_only_with_worst():
     found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
              and isinstance(node.func, ast.Name) and node.func.id in ("max", "min")]
     assert found == [], f"verify.py: builtin max/min at lines {found}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_default_tol_is_always_scaled(path):
+    # The one zero test is relative: DEFAULT_TOL times the size of the operands.
+    # A bare DEFAULT_TOL in a comparison would make an answer depend on the unit.
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+
+    def scaled_or_shown(node):
+        up = parent.get(node)
+        if isinstance(up, ast.BinOp) and isinstance(up.op, ast.Mult):
+            return True
+        while up is not None and not isinstance(up, ast.JoinedStr):
+            up = parent.get(up)
+        return up is not None
+
+    loads = [node for node in ast.walk(tree) if isinstance(getattr(node, "ctx", None), ast.Load)
+             and getattr(node, "id", getattr(node, "attr", None)) == "DEFAULT_TOL"]
+    bare = [node.lineno for node in loads if not scaled_or_shown(node)]
+    assert bare == [], f"{path.name}: unscaled DEFAULT_TOL at lines {bare}"

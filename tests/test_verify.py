@@ -125,8 +125,11 @@ MUTANTS = {
         {"gamma_parity", "k_recovery", "swap_decomposition", "inverse_law",
          "parity_forcing", "antisymmetric_parity_violation"}),
     "causal_sign-reversed": (
-        "causal_sign", lambda causal_sign: lambda s2: -causal_sign(s2),
+        "causal_sign", lambda causal_sign: lambda s2, size: -causal_sign(s2, size),
         {"divergence_witness"}),
+    "refit-always-tau-1": (
+        "refit", lambda refit: lambda t, k=1.0: dataclasses.replace(refit(t, k), tau=1),
+        {"composition_closure"}),
     "gamma_symmetric-squares-k": (
         "gamma_symmetric", lambda gamma: lambda k, v, sign=1: gamma(k * k, v, sign),
         {"gamma_parity", "k_recovery", "determinant_law", "parity_forcing"}),
