@@ -194,19 +194,19 @@ def _check_k(k: float) -> None:
         raise DomainError(f"k must be finite, got {k}")
 
 
-def gamma_symmetric(k: float, v: float, sign: int = 1) -> float:
-    """Even gamma factor sign / sqrt(1 - k*v**2), defined for k*v**2 < 1."""
+def gamma_symmetric(k: float, v: float) -> float:
+    """Even gamma factor 1 / sqrt(1 - k*v**2) for k*v**2 < 1; make_lambda multiplies in tau."""
     _check_k(k)
     kv2 = k * v * v
     if not math.isfinite(kv2):  # an overflow would give gamma = 0; catches inf or NaN v too
         raise DomainError(f"k*v**2 must be finite, got {kv2} for k = {k}, v = {v}")
     if not kv2 < 1.0:
         raise DomainError(f"symmetric family undefined for k*v**2 = {kv2} >= 1")
-    return sign / math.sqrt(1.0 - kv2)
+    return 1.0 / math.sqrt(1.0 - kv2)
 
 
-def gamma_antisymmetric(k: float, w: float, sign: int = 1) -> float:
-    """Odd gamma factor sign * (w/|w|) / sqrt(k*w**2 - 1), defined for k*w**2 > 1."""
+def gamma_antisymmetric(k: float, w: float) -> float:
+    """Odd gamma factor (w/|w|) / sqrt(k*w**2 - 1) for k*w**2 > 1; make_l multiplies in tau."""
     _check_k(k)
     if w == 0.0:
         raise DomainError("antisymmetric gamma undefined at w = 0")
@@ -215,7 +215,7 @@ def gamma_antisymmetric(k: float, w: float, sign: int = 1) -> float:
         raise DomainError(f"k*w**2 must be finite, got {kw2} for k = {k}, w = {w}")
     if not kw2 > 1.0:
         raise DomainError(f"antisymmetric family undefined for k*w**2 = {kw2} <= 1")
-    return sign * math.copysign(1.0, w) / math.sqrt(kw2 - 1.0)
+    return math.copysign(1.0, w) / math.sqrt(kw2 - 1.0)
 
 
 def _check_tau(tau: int) -> None:
@@ -223,12 +223,17 @@ def _check_tau(tau: int) -> None:
         raise DomainError(f"tau must be +1 or -1, got {tau}")
 
 
+def _family(gamma, branch: BranchKind, tau: int, k: float, u: float) -> Transform:
+    """tau * gamma(k, u) * [[1, -u], [-u, 1]], the form of both families; gamma decides
+    the family's domain and raises DomainError outside it."""
+    _check_tau(tau)
+    g = tau * gamma(k, u)
+    return Transform(((g, -g * u), (-g * u, g)), branch, tau, float(k), float(u))
+
+
 def make_lambda(tau: int, k: float, v: float) -> Transform:
     """Symmetric-family transform tau / sqrt(1 - k*v**2) * [[1, -v], [-v, 1]]."""
-    _check_tau(tau)
-    g = gamma_symmetric(k, v, tau)
-    m = ((g, -g * v), (-g * v, g))
-    return Transform(m, BranchKind.SYMMETRIC_LAMBDA, tau, float(k), float(v))
+    return _family(gamma_symmetric, BranchKind.SYMMETRIC_LAMBDA, tau, k, v)
 
 
 def make_lambda_infinite_limit(tau: int, k: float) -> Transform:
@@ -249,10 +254,7 @@ def make_lambda_infinite_limit(tau: int, k: float) -> Transform:
 
 def make_l(tau: int, k: float, w: float) -> Transform:
     """Antisymmetric-family transform tau * (w/|w|) / sqrt(k*w**2 - 1) * [[1, -w], [-w, 1]]."""
-    _check_tau(tau)
-    g = gamma_antisymmetric(k, w, tau)
-    m = ((g, -g * w), (-g * w, g))
-    return Transform(m, BranchKind.ANTISYMMETRIC_L, tau, float(k), float(w))
+    return _family(gamma_antisymmetric, BranchKind.ANTISYMMETRIC_L, tau, k, w)
 
 
 def make_transform(branch: str, tau: int, k: float, vel: float) -> Transform:

@@ -210,19 +210,19 @@ def check_parity_violation_antisymmetric() -> CheckResult:
 
 
 def check_composition_closure() -> CheckResult:
-    """Products of k=1 family transforms refit by rapidity addition: the
-    antisymmetric family exactly when one factor is antisymmetric, tau_a*tau_b,
-    and velocity (u1 + u2)/(1 + u1*u2).  Pairs with 1 + u1*u2 == 0 are skipped:
-    their product has a zero diagonal."""
+    """Products of k=1 family transforms built by core.make_transform refit by rapidity
+    addition: branch "l" exactly when one factor is, tau_a*tau_b and (u1 + u2)/(1 + u1*u2).
+    Pairs with 1 + u1*u2 == 0 are skipped: their product has a zero diagonal."""
     gaps = []
-    families = ((core.make_lambda, False, (-0.9, -0.5, -0.1, 0.2, 0.6, 0.8)),
-                (core.make_l, True, (-5.0, -2.0, -1.5, 1.2, 3.0, 10.0)))
-    for (make_a, odd_a, vels_a), (make_b, odd_b, vels_b) in product(families, repeat=2):
-        branch = BranchKind.ANTISYMMETRIC_L if odd_a != odd_b else BranchKind.SYMMETRIC_LAMBDA
-        for tau_a, tau_b, u1, u2 in product((1, -1), (1, -1), vels_a, vels_b):
+    velocities = {"lambda": (-0.9, -0.5, -0.1, 0.2, 0.6, 0.8),
+                  "l": (-5.0, -2.0, -1.5, 1.2, 3.0, 10.0)}
+    for a, b in product(velocities, repeat=2):
+        branch = BranchKind("l" if a != b else "lambda")
+        for tau_a, tau_b, u1, u2 in product((1, -1), (1, -1), velocities[a], velocities[b]):
             if 1.0 + u1 * u2 == 0.0:
                 continue
-            fitted = core.refit(core.compose(make_a(tau_a, 1.0, u1), make_b(tau_b, 1.0, u2)))
+            fitted = core.refit(core.compose(core.make_transform(a, tau_a, 1.0, u1),
+                                             core.make_transform(b, tau_b, 1.0, u2)))
             if fitted.branch is not branch or fitted.tau != tau_a * tau_b:
                 return CheckResult("composition_closure", math.inf, 1e-9)
             gaps.append(abs(fitted.vel - (u1 + u2) / (1.0 + u1 * u2)))

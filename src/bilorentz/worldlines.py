@@ -8,7 +8,6 @@ from enum import Enum
 from .core import (
     DEFAULT_TOL,
     CoordinateSpeed,
-    DomainError,
     Transform,
     TwoVector,
     apply,
@@ -102,10 +101,9 @@ def rest_point_worldline(w: float) -> Worldline:
 
     In the original coordinates this is the line x = w * c * t; the k = 1
     antisymmetric transform with parameter w maps it onto the vertical axis
-    of the transformed frame, which requires w**2 > 1.
+    of the transformed frame.  Raises DomainError wherever make_l(-1, 1, w) does.
     """
-    if not w * w > 1.0:
-        raise DomainError(f"rest-point worldline needs w**2 > 1, got w = {w}")
+    make_l(-1, 1.0, w)
     return Worldline(anchor=TwoVector(0.0, 0.0), direction=TwoVector(1.0, w),
                      label=f"x = {w:g} ct")
 

@@ -194,7 +194,7 @@ def test_verify_check_that_raises_is_a_failure_not_an_input_error(capsys, monkey
     """A broken build whose check raises exits 1 and names the check, not 2."""
     gamma = core.gamma_symmetric
     monkeypatch.setattr(core, "gamma_symmetric",
-                        lambda k, v, sign=1: gamma(k * k, v, sign))
+                        lambda k, v: gamma(k * k, v))
     code, out, err = run_cli(capsys, "verify", "--trials", "2000", "--seed", "0")
     assert code == 1
     assert err == ""

@@ -4,7 +4,14 @@ import math
 
 import pytest
 
-from bilorentz import DomainError, gamma_antisymmetric, gamma_symmetric, k_constant
+from bilorentz import (
+    DomainError,
+    gamma_antisymmetric,
+    gamma_symmetric,
+    k_constant,
+    make_l,
+    make_lambda,
+)
 
 # frozen from 50-digit arithmetic: 2/sqrt(3) and 1/sqrt(3)
 TWO_OVER_SQRT3 = 1.1547005383792515
@@ -19,8 +26,15 @@ def test_symmetric_half_c():
     assert gamma_symmetric(1.0, 0.5) == pytest.approx(TWO_OVER_SQRT3, abs=1e-15)
 
 
-def test_symmetric_sign_argument():
-    assert gamma_symmetric(1.0, 0.5, -1) == pytest.approx(-TWO_OVER_SQRT3, abs=1e-15)
+@pytest.mark.parametrize("make, k, u", [
+    (make_lambda, 1.0, 0.5), (make_lambda, 1.0, -0.3), (make_lambda, 0.25, 1.9),
+    (make_lambda, 4.0, 0.0), (make_lambda, -1.0, 10.0), (make_lambda, -4.0, -0.7),
+    (make_l, 1.0, 2.0), (make_l, 1.0, -1.5), (make_l, 0.25, 3.0), (make_l, 4.0, -0.6),
+])
+def test_tau_negates_every_entry(make, k, u):
+    # tau lives in the constructors alone: tau = -1 is tau = +1 with each entry negated.
+    plus, minus = make(1, k, u).m, make(-1, k, u).m
+    assert [[(-x).hex() for x in row] for row in plus] == [[x.hex() for x in row] for row in minus]
 
 
 def test_symmetric_domain_boundary_excluded():

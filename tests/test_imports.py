@@ -12,6 +12,7 @@ out of ``import bilorentz.cli``:
   only to escape three characters; ``diagram.escape`` does that itself.
 """
 
+import inspect
 import json
 import os
 import subprocess
@@ -21,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+import bilorentz
 from bilorentz import diagram
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -49,6 +51,15 @@ def test_cli_import_leaves_out_numpy_and_xml_sax():
     out = subprocess.run([sys.executable, "-c", _PROBE], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout
     assert json.loads(out) == {"leaked": [], "root": True, "cli": True, "star": []}
+
+
+def test_all_lists_exactly_the_public_names():
+    # __init__ keeps the name list twice, in its imports and in __all__; they must agree.
+    public = {name for name, value in vars(bilorentz).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    lazy = {"CheckResult", "VerificationReport", "format_report", "run_verification"}
+    assert len(bilorentz.__all__) == len(set(bilorentz.__all__))
+    assert set(bilorentz.__all__) == public | lazy
 
 
 @pytest.mark.parametrize("text", [

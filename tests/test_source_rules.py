@@ -53,3 +53,15 @@ def test_default_tol_is_always_scaled(path):
              and getattr(node, "id", getattr(node, "attr", None)) == "DEFAULT_TOL"]
     bare = [node.lineno for node in loads if not scaled_or_shown(node)]
     assert bare == [], f"{path.name}: unscaled DEFAULT_TOL at lines {bare}"
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "core.py"], ids=lambda p: p.name)
+def test_only_core_raises_domain_error(path):
+    # The family domains are decided in core; a module that raises DomainError itself
+    # restates one, and the copy can drift from the family it describes.
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Raise)
+             and node.exc is not None
+             and "DomainError" in {getattr(n, "id", getattr(n, "attr", None))
+                                   for n in ast.walk(node.exc)}]
+    assert found == [], f"{path.name}: raises DomainError at lines {found}"

@@ -121,7 +121,7 @@ MUTANTS = {
         {"swap_decomposition"}),
     "gamma_antisymmetric-drops-copysign": (
         "gamma_antisymmetric",
-        lambda gamma: lambda k, w, sign=1: gamma(k, w, sign) * math.copysign(1.0, w),
+        lambda gamma: lambda k, w: gamma(k, w) * math.copysign(1.0, w),
         {"gamma_parity", "k_recovery", "swap_decomposition", "inverse_law",
          "parity_forcing", "antisymmetric_parity_violation"}),
     "causal_sign-reversed": (
@@ -131,7 +131,7 @@ MUTANTS = {
         "refit", lambda refit: lambda t, k=1.0: dataclasses.replace(refit(t, k), tau=1),
         {"composition_closure"}),
     "gamma_symmetric-squares-k": (
-        "gamma_symmetric", lambda gamma: lambda k, v, sign=1: gamma(k * k, v, sign),
+        "gamma_symmetric", lambda gamma: lambda k, v: gamma(k * k, v),
         {"gamma_parity", "k_recovery", "determinant_law", "parity_forcing"}),
 }
 
@@ -142,6 +142,8 @@ def test_verify_catches_planted_mutant(monkeypatch, name):
     monkeypatch.setattr(core, attr, mutate(getattr(core, attr)))
     report = run_verification(20_000, 0)
     assert caught <= {c.name for c in report.checks if not c.passed}
+    # A mutant that no longer fits its call sites fails every check for the wrong reason.
+    assert "raised TypeError" not in format_report(report)
 
 
 def test_a_check_that_raises_fails_under_its_own_name(monkeypatch):

@@ -109,9 +109,19 @@ def test_rest_point_worldline_negative_parameter():
 
 
 def test_rest_point_worldline_domain():
-    for w in (0.5, 1.0, -1.0):
+    # Exactly the domain of make_l(-1, 1, w), overflow of w**2 included.
+    for w in (0.0, 0.5, 1.0, -1.0, 1e155, 1e200, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            make_l(-1, 1.0, w)
         with pytest.raises(DomainError):
             rest_point_worldline(w)
+
+
+@pytest.mark.parametrize("w", [1.5, 2.0, -2.0, 1e100])
+def test_rest_point_worldline_is_pinned_by_make_l(w):
+    line = rest_point_worldline(w)
+    assert line.direction == TwoVector(1.0, w)
+    assert apply(make_l(-1, 1.0, w), line.direction).c2 == 0.0
 
 
 def test_window_needs_positive_extent():
