@@ -7,6 +7,9 @@ coordinate speed and by interval sign, verifies the family identities
 mechanically, and renders scenarios as deterministic SVG Minkowski diagrams.
 """
 
+from types import ModuleType as _ModuleType
+
+# These imports are the list of eager public names; __all__ below is read off them.
 from .core import (
     DEFAULT_TOL,
     STANDARD_METRIC,
@@ -87,65 +90,6 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-__all__ = [
-    "DEFAULT_TOL",
-    "STANDARD_METRIC",
-    "SWAPPED_METRIC",
-    "BranchKind",
-    "CausalClass",
-    "CausalReport",
-    "CheckResult",
-    "CoordinateSpeed",
-    "DegenerateDisplacementError",
-    "DiagramStyle",
-    "DomainError",
-    "EmptyWindowError",
-    "FIG2_PARTICLE_SPEEDS",
-    "LightRayViolationError",
-    "Metric",
-    "NotDecomposableError",
-    "OutOfWindowError",
-    "Scenario",
-    "ScenarioFormatError",
-    "SingularMatrixError",
-    "SvgDocument",
-    "Transform",
-    "TwoVector",
-    "VerificationReport",
-    "Window",
-    "Worldline",
-    "WorldlineKind",
-    "annotate_events",
-    "apply",
-    "build_fig2_scenario",
-    "build_fig3_scenario",
-    "build_fig4_scenario",
-    "classify_coordinate",
-    "classify_geometric",
-    "clip_to_window",
-    "compose",
-    "coordinate_velocity",
-    "format_report",
-    "gamma_antisymmetric",
-    "gamma_symmetric",
-    "interval_squared",
-    "inverse",
-    "k_constant",
-    "load_scenario",
-    "make_l",
-    "make_lambda",
-    "make_lambda_infinite_limit",
-    "make_transform",
-    "measured_displacement",
-    "parity_conjugate",
-    "refit",
-    "render_pair",
-    "rest_point_worldline",
-    "run_verification",
-    "save_scenario",
-    "scenario_from_dict",
-    "scenario_to_dict",
-    "swap_decompose",
-    "transform_metric",
-    "transform_worldline",
-]
+__all__ = sorted({name for name, value in globals().items()
+                  if not name.startswith("_") and not isinstance(value, _ModuleType)}
+                 | _VERIFY_NAMES)

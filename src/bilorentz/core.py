@@ -219,8 +219,9 @@ def gamma_antisymmetric(k: float, w: float) -> float:
 
 
 def _check_tau(tau: int) -> None:
-    if tau not in (1, -1):
-        raise DomainError(f"tau must be +1 or -1, got {tau}")
+    # Only the ints: True and 1.0 equal 1 but would be stored and written back as given.
+    if type(tau) is not int or tau not in (1, -1):
+        raise DomainError(f"tau must be +1 or -1, got {tau!r}")
 
 
 def _family(gamma, branch: BranchKind, tau: int, k: float, u: float) -> Transform:

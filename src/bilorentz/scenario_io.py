@@ -65,8 +65,6 @@ def _transform_from_dict(obj: dict) -> Transform:
     _require_keys(obj, {"branch", "tau", "k", "vel"}, set(), "transform")
     branch = _text(obj["branch"], "transform.branch")
     tau = obj["tau"]
-    if isinstance(tau, bool) or tau not in (1, -1):
-        raise ScenarioFormatError(f"transform.tau must be 1 or -1, got {tau!r}")
     k = _number(obj["k"], "transform.k")
     if obj["vel"] == "infinity":
         return make_transform(branch, tau, k, math.inf)

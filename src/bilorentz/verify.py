@@ -161,14 +161,17 @@ def check_k_recovery() -> CheckResult:
 
 
 def check_determinant_law() -> CheckResult:
-    """det lambda = (1 - v**2)/(1 - k*v**2); at k = 1 each family's det is its parity."""
+    """det lambda = (1 - v**2)/(1 - k*v**2), whose v -> inf limit is 1/k for k < 0; at
+    k = 1 each family's det is its parity."""
     families = _families()
     general = (abs(core.mat_det(fam.make(tau, k, v).m) - (1.0 - v * v) / (1.0 - k * v * v))
                for fam, k, v in _family_grid(families[:1], 25) for tau in (1, -1))
+    limit = (abs(core.mat_det(core.make_transform("lambda", tau, k, math.inf).m) - 1.0 / k)
+             for k in _K_VALUES if k < 0.0 for tau in (1, -1))
     unit_k = (abs(core.mat_det(fam.make(tau, 1.0, float(u)).m) - fam.parity)
               for fam, grid in zip(families, (np.linspace(-0.9, 0.9, 19), _w_grid()))
               for tau in (1, -1) for u in grid)
-    return CheckResult("determinant_law", _worst((*general, *unit_k)), 1e-12)
+    return CheckResult("determinant_law", _worst((*general, *limit, *unit_k)), 1e-12)
 
 
 def check_swap_decomposition() -> CheckResult:

@@ -109,11 +109,21 @@ def test_boolean_is_not_a_number():
         scenario_from_dict(data)
 
 
-def test_bad_tau_rejected():
+@pytest.mark.parametrize("text", ["true", "1.0", "-1.0", "2"])
+def test_bad_tau_rejected(text):
     data = scenario_to_dict(build_fig3_scenario())
-    data["transform"]["tau"] = 2
-    with pytest.raises(ScenarioFormatError):
+    data["transform"]["tau"] = json.loads(text)
+    with pytest.raises(ScenarioFormatError, match="tau must be"):
         scenario_from_dict(data)
+
+
+@pytest.mark.parametrize("tau", [1, -1])
+def test_integer_tau_roundtrips(tau):
+    data = scenario_to_dict(build_fig3_scenario())
+    data["transform"] = {"branch": "l", "tau": tau, "k": 1, "vel": 2}
+    s = scenario_from_dict(json.loads(json.dumps(data)))
+    assert s.transform.tau == tau and type(s.transform.tau) is int
+    assert scenario_to_dict(s)["transform"] == {"branch": "l", "tau": tau, "k": 1.0, "vel": 2.0}
 
 
 @pytest.mark.parametrize("path, value, message", [

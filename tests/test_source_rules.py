@@ -65,3 +65,27 @@ def test_only_core_raises_domain_error(path):
              and "DomainError" in {getattr(n, "id", getattr(n, "attr", None))
                                    for n in ast.walk(node.exc)}]
     assert found == [], f"{path.name}: raises DomainError at lines {found}"
+
+
+def _init_tree():
+    path = next(p for p in SOURCES if p.name == "__init__.py")
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def test_init_computes_all_instead_of_listing_it():
+    # The imports of __init__ are the one list of public names; a literal __all__
+    # would be a second copy, free to drift from the first.
+    literal = [node.lineno for node in ast.walk(_init_tree())
+               if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+               and isinstance(node.value, (ast.List, ast.Tuple))
+               and any(getattr(target, "id", None) == "__all__" for target in
+                       (node.targets if isinstance(node, ast.Assign) else [node.target]))]
+    assert literal == [], f"__init__.py: literal __all__ at lines {literal}"
+
+
+def test_init_binds_stdlib_imports_to_private_names():
+    # __all__ takes every public global of __init__, so a public stdlib import would leak.
+    public = [(node.lineno, alias.asname or alias.name) for node in ast.walk(_init_tree())
+              if isinstance(node, (ast.Import, ast.ImportFrom)) and not getattr(node, "level", 0)
+              for alias in node.names if not (alias.asname or alias.name).startswith("_")]
+    assert public == [], f"__init__.py: public non-relative imports {public}"

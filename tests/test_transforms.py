@@ -6,6 +6,7 @@ arithmetic inside the package.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -64,6 +65,18 @@ def test_lambda_rejects_boundary():
 def test_lambda_rejects_bad_tau():
     with pytest.raises(DomainError):
         make_lambda(0, 1.0, 0.5)
+
+
+@pytest.mark.parametrize("tau", [True, 1.0, -1.0, "1", None], ids=repr)
+@pytest.mark.parametrize("make", [
+    lambda tau: make_lambda(tau, 1.0, 0.5),
+    lambda tau: make_l(tau, 1.0, 2.0),
+    lambda tau: make_lambda_infinite_limit(tau, -1.0),
+], ids=["lambda", "l", "infinite-limit"])
+def test_tau_must_be_the_int_one_or_minus_one(make, tau):
+    # True and 1.0 equal 1, but a transform would keep them and write them back.
+    with pytest.raises(DomainError, match=f"got {re.escape(repr(tau))}$"):
+        make(tau)
 
 
 def test_lambda_det_is_one_at_k1():

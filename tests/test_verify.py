@@ -130,6 +130,11 @@ MUTANTS = {
     "refit-always-tau-1": (
         "refit", lambda refit: lambda t, k=1.0: dataclasses.replace(refit(t, k), tau=1),
         {"composition_closure"}),
+    "make_lambda_infinite_limit-doubled": (
+        "make_lambda_infinite_limit",
+        lambda limit: lambda tau, k: dataclasses.replace(
+            limit(tau, k), m=tuple(tuple(2.0 * x for x in row) for row in limit(tau, k).m)),
+        {"determinant_law"}),
     "gamma_symmetric-squares-k": (
         "gamma_symmetric", lambda gamma: lambda k, v: gamma(k * k, v),
         {"gamma_parity", "k_recovery", "determinant_law", "parity_forcing"}),
