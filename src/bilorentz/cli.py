@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from .core import (
     STANDARD_METRIC,
@@ -23,26 +22,14 @@ from .core import (
     make_transform,
     refit,
 )
-from .diagram import (
-    DiagramStyle,
-    EmptyWindowError,
-    OutOfWindowError,
-    annotate_events,
-    render_pair,
-)
-from .scenario_io import load_scenario
-from .worldlines import build_fig2_scenario, build_fig3_scenario, build_fig4_scenario
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_RENDER_DEGENERATE = 3
 
-_BUILTIN_SCENARIOS = {
-    "fig2": build_fig2_scenario,
-    "fig3": build_fig3_scenario,
-    "fig4": build_fig4_scenario,
-}
+#: Each name has a ``worldlines.build_<name>_scenario``.
+_BUILTIN_SCENARIOS = ("fig2", "fig3", "fig4")
 
 
 def _parse_vec(text: str) -> TwoVector:
@@ -92,11 +79,11 @@ def _cmd_compose(args) -> int:
 
 
 def __getattr__(name):
-    # ``verify`` imports numpy, so only ``_cmd_verify`` loads it; ``cli.verify``
-    # still names that module for callers that read or patch it.
-    if name == "verify":
-        from . import verify
-        return verify
+    # ``verify`` imports numpy and ``diagram`` the renderer, so only the command
+    # that uses each loads it.  ``cli.verify`` and the two render errors stay
+    # reachable here, through the package, for callers that read or patch them.
+    if name in ("verify", "EmptyWindowError", "OutOfWindowError"):
+        return getattr(sys.modules[__package__], name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -109,18 +96,31 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_diagram(args) -> int:
+    from pathlib import Path
+
+    from . import worldlines
+    from .diagram import (DiagramStyle, EmptyWindowError, OutOfWindowError, annotate_events,
+                          render_pair)
+    from .scenario_io import load_scenario
+
     if args.builtin is not None:
-        scenario = _BUILTIN_SCENARIOS[args.builtin]()
+        scenario = getattr(worldlines, f"build_{args.builtin}_scenario")()
     else:
         scenario = load_scenario(args.scenario)
-    style = DiagramStyle(width_px=args.width, height_px=args.height,
-                         decimal_places=args.decimals)
-    original, transformed = render_pair(scenario, style)
-    if scenario.events:
-        original = annotate_events(original, scenario.events)
-        moved = tuple((apply(scenario.transform, at), label)
-                      for at, label in scenario.events)
-        transformed = annotate_events(transformed, moved)
+    # DiagramStyle owns the defaults: pass on only the sizes that were given.
+    given = (("width_px", args.width), ("height_px", args.height),
+             ("decimal_places", args.decimals))
+    style = DiagramStyle(**{field: value for field, value in given if value is not None})
+    try:
+        original, transformed = render_pair(scenario, style)
+        if scenario.events:
+            original = annotate_events(original, scenario.events)
+            moved = tuple((apply(scenario.transform, at), label)
+                          for at, label in scenario.events)
+            transformed = annotate_events(transformed, moved)
+    except (EmptyWindowError, OutOfWindowError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RENDER_DEGENERATE
     out_original = Path(f"{args.out}-original.svg")
     out_transformed = Path(f"{args.out}-transformed.svg")
     out_original.write_text(original.to_svg(), encoding="utf-8", newline="\n")
@@ -165,12 +165,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diagram", help="render a scenario to an SVG pair")
     source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--builtin", choices=tuple(_BUILTIN_SCENARIOS))
+    source.add_argument("--builtin", choices=_BUILTIN_SCENARIOS)
     source.add_argument("--scenario", help="path to a scenario JSON file")
     p.add_argument("--out", required=True, help="output path prefix")
-    p.add_argument("--width", type=int, default=DiagramStyle.width_px)
-    p.add_argument("--height", type=int, default=DiagramStyle.height_px)
-    p.add_argument("--decimals", type=int, default=DiagramStyle.decimal_places)
+    p.add_argument("--width", type=int)
+    p.add_argument("--height", type=int)
+    p.add_argument("--decimals", type=int)
     p.set_defaults(func=_cmd_diagram)
 
     return parser
@@ -180,9 +180,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (EmptyWindowError, OutOfWindowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RENDER_DEGENERATE
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

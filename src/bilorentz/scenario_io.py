@@ -67,11 +67,15 @@ def _transform_from_dict(obj: dict) -> Transform:
     tau = obj["tau"]
     k = _number(obj["k"], "transform.k")
     if obj["vel"] == "infinity":
-        return make_transform(branch, tau, k, math.inf)
-    vel = _number(obj["vel"], "transform.vel")
-    if not math.isfinite(vel):
-        raise ScenarioFormatError(f'transform.vel must be finite or "infinity", got {vel!r}')
-    return make_transform(branch, tau, k, vel)
+        vel = math.inf
+    else:
+        vel = _number(obj["vel"], "transform.vel")
+        if not math.isfinite(vel):
+            raise ScenarioFormatError(f'transform.vel must be finite or "infinity", got {vel!r}')
+    try:
+        return make_transform(branch, tau, k, vel)
+    except ValueError as exc:
+        raise ScenarioFormatError(f"transform: {exc}") from exc
 
 
 def _transform_to_dict(t: Transform) -> dict:

@@ -310,6 +310,17 @@ def test_diagram_empty_window_exits_3(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+def test_diagram_event_outside_the_window_exits_3(tmp_path, capsys):
+    data = scenario_to_dict(build_fig4_scenario())
+    data["events"] = [{"at": [100.0, 100.0], "label": "far"}]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run_cli(capsys, "diagram", "--scenario", str(path),
+                             "--out", str(tmp_path / "x"))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: event 'far'") and err.count("\n") == 1
+
+
 def test_diagram_from_saved_scenario_matches_builtin(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     save_scenario(build_fig4_scenario(), "fig4.json")

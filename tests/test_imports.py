@@ -1,12 +1,17 @@
 """Import cost: each command loads only what it uses.
 
 Most CLI calls do microseconds of scalar 2x2 arithmetic, so the package
-import is nearly all of their run time. These modules must therefore stay
-out of ``import bilorentz.cli``:
+import is nearly all of their run time. ``import bilorentz`` loads ``core``
+alone; every other public name is served on first use from one table in
+``__init__`` (``_LAZY``, submodule to names), and ``cli`` imports the
+renderer inside the ``diagram`` command. So ``transform``, ``classify`` and
+``compose`` load ``bilorentz``, ``bilorentz.core`` and ``bilorentz.cli`` and
+nothing else of the package, and ``verify`` adds ``bilorentz.verify``.
+
+These modules must stay out of ``import bilorentz.cli`` in any case:
 
 * ``numpy`` and ``bilorentz.verify``: only the ``verify`` command needs the
-  array maths, and numpy alone costs more than the rest of the package. The
-  package root and ``cli`` load ``verify`` on first use instead.
+  array maths, and numpy alone costs more than the rest of the package.
 * ``xml.sax.saxutils`` and ``urllib.request``: ``saxutils`` imports
   ``urllib.request``, which pulls in ``http.client``, ``email`` and ``ssl``,
   only to escape three characters; ``diagram.escape`` does that itself.
@@ -22,7 +27,7 @@ from pathlib import Path
 import pytest
 
 import bilorentz
-from bilorentz import core, diagram, scenario_io, worldlines
+from bilorentz import diagram
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -45,24 +50,70 @@ print(json.dumps({{
 """
 
 
-def test_cli_import_leaves_out_numpy_and_xml_sax():
+def _run(code, *argv):
+    """The JSON that ``code`` prints last, run in a fresh interpreter."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    out = subprocess.run([sys.executable, "-c", _PROBE], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def test_cli_import_leaves_out_numpy_and_xml_sax():
     # Reading __all__ happens before the leak test: it must load nothing either.
-    assert json.loads(out) == {"leaked": [], "root": True, "cli": True, "star": True}
+    assert _run(_PROBE) == {"leaked": [], "root": True, "cli": True, "star": True}
+
+
+_RUN_MAIN = """
+import contextlib, io, json, sys
+from bilorentz.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "bilorentz")]))
+"""
+
+CORE_ONLY = {"bilorentz", "bilorentz.cli", "bilorentz.core"}
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    pytest.param(["transform", "--branch", "l", "--tau", "-1", "--k", "1", "--vel", "2",
+                  "--vec=2,1"], CORE_ONLY, id="transform"),
+    pytest.param(["classify", "--vec=2,1"], CORE_ONLY, id="classify"),
+    pytest.param(["compose", "l,-1,1,2", "lambda,1,1,0.5"], CORE_ONLY, id="compose"),
+    pytest.param(["verify", "--trials", "1000"], CORE_ONLY | {"bilorentz.verify"}, id="verify"),
+])
+def test_each_command_loads_only_what_it_uses(argv, loaded):
+    assert _run(_RUN_MAIN, *argv) == [0, sorted(loaded)]
+
+
+_FIRST_ACCESS = """
+import json, sys
+import bilorentz
+first = sys.argv[1]
+order = [first] + sorted(set(bilorentz._LAZY) - {first})
+modules = [getattr(bilorentz, name) is sys.modules["bilorentz." + name] for name in order]
+# A lazily served name is the module's own object, and afterwards a plain global.
+names = [getattr(bilorentz, name) is getattr(sys.modules["bilorentz." + module], name)
+         and name in vars(bilorentz)
+         for module in order for name in bilorentz._LAZY[module]]
+print(json.dumps([all(modules), all(names)]))
+"""
+
+
+@pytest.mark.parametrize("first", sorted(bilorentz._LAZY))
+def test_lazy_submodules_resolve_whichever_comes_first(first):
+    assert _run(_FIRST_ACCESS, first) == [True, True]
 
 
 def test_all_is_sorted_without_duplicates():
     assert bilorentz.__all__ == sorted(set(bilorentz.__all__))
 
 
-def test_every_eager_name_is_an_object_of_the_package():
+def test_every_public_name_is_an_object_of_its_module():
     # __all__ is read off the globals of __init__, so a stray import there would be public.
-    modules = (core, diagram, scenario_io, worldlines)
-    for name in set(bilorentz.__all__) - bilorentz._VERIFY_NAMES:
+    owner = {name: module for module, names in bilorentz._LAZY.items() for name in names}
+    for name in bilorentz.__all__:
         value = getattr(bilorentz, name)
-        assert any(vars(module).get(name) is value for module in modules), name
+        assert vars(getattr(bilorentz, owner.get(name, "core"))).get(name) is value, name
         assert getattr(value, "__module__", "bilorentz.").startswith("bilorentz."), name
 
 

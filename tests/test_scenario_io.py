@@ -113,7 +113,7 @@ def test_boolean_is_not_a_number():
 def test_bad_tau_rejected(text):
     data = scenario_to_dict(build_fig3_scenario())
     data["transform"]["tau"] = json.loads(text)
-    with pytest.raises(ScenarioFormatError, match="tau must be"):
+    with pytest.raises(ScenarioFormatError, match="^transform: tau must be"):
         scenario_from_dict(data)
 
 
@@ -142,10 +142,14 @@ def test_wrong_json_type_names_its_path(path, value, message):
         scenario_from_dict(data)
 
 
-def test_out_of_domain_velocity_is_a_format_error():
+@pytest.mark.parametrize("branch, vel, message", [
+    ("lambda", 2, "symmetric family undefined"),
+    ("l", 0.5, "antisymmetric family undefined"),
+])
+def test_out_of_domain_velocity_is_a_format_error(branch, vel, message):
     data = scenario_to_dict(build_fig3_scenario())
-    data["transform"] = {"branch": "lambda", "tau": 1, "k": 1, "vel": 2}
-    with pytest.raises(ScenarioFormatError):
+    data["transform"] = {"branch": branch, "tau": 1, "k": 1, "vel": vel}
+    with pytest.raises(ScenarioFormatError, match=f"^transform: {message}"):
         scenario_from_dict(data)
 
 

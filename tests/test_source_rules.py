@@ -89,3 +89,26 @@ def test_init_binds_stdlib_imports_to_private_names():
               if isinstance(node, (ast.Import, ast.ImportFrom)) and not getattr(node, "level", 0)
               for alias in node.names if not (alias.asname or alias.name).startswith("_")]
     assert public == [], f"__init__.py: public non-relative imports {public}"
+
+
+def test_cli_imports_only_core_of_the_package_at_module_level():
+    # transform, classify and compose need core alone.  The other modules load inside
+    # the command that uses them; a module-level import of one would put it back on
+    # the start-up path of every command.
+    path = next(p for p in SOURCES if p.name == "cli.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    in_functions = {node for fn in ast.walk(tree)
+                    if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    for node in ast.walk(fn)}
+    imported = []
+    for node in ast.walk(tree):
+        if node in in_functions:
+            continue
+        if isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            imported += [base] if node.module else [base + alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    package = [name for name in imported if name.startswith(".")
+               or name.split(".")[0] == "bilorentz"]
+    assert package == [".core"], f"cli.py: module-level package imports {package}"
