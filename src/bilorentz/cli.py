@@ -5,8 +5,6 @@ Exit codes: 0 success, 1 identity verification failure, 2 input error,
 path prints a single ``error: ...`` line to stderr.
 """
 
-from __future__ import annotations
-
 import argparse
 import sys
 

@@ -9,14 +9,10 @@ dimensionless (units of c).  Two constructor families exist:
   which for k = 1 equals a coordinate swap composed with a standard boost
   at the inverse velocity 1/w.
 
-All operations are pure functions on immutable values: frozen, slotted
-dataclasses that write each field once.
+All operations are pure functions on immutable, validated values (see _Value).
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass, fields
 from enum import Enum
 
 Mat = tuple[tuple[float, float], tuple[float, float]]
@@ -64,25 +60,47 @@ class CausalClass(Enum):
     SPACELIKE = "spacelike"
 
 
+class _Value:
+    """Base of the frozen value types.  Each names its fields once, in __slots__, and its
+    __init__ validates, then writes them through _setters; pickle and copy call __init__."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
 def _setters(cls) -> tuple:
-    """Each field's slot-descriptor __set__ of a slotted dataclass, in field order.
-
-    The frozen value types below validate in a hand-written __init__ (so
-    init=False: generating one costs import time), then write each field
-    once through these, where a generated __init__ would pay a generic
-    object.__setattr__ per write.  They are bound after each class statement
-    because slots=True returns a new class.  Calls in this module pass
-    fields positionally: a keyword call to a class builds a dict.
-    """
-    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
+    """Each field's slot-descriptor __set__, in __slots__ order.  Calls in this
+    module pass fields positionally: a keyword call to a class builds a dict."""
+    return tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class TwoVector:
+class TwoVector(_Value):
     """An event or displacement (c1, c2); both components in length units."""
 
-    c1: float
-    c2: float
+    __slots__ = ("c1", "c2")
 
     def __init__(self, c1: float, c2: float):
         c1, c2 = float(c1), float(c2)
@@ -95,8 +113,7 @@ class TwoVector:
 _set_c1, _set_c2 = _setters(TwoVector)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Transform:
+class Transform(_Value):
     """A 2x2 coordinate transformation plus construction provenance.
 
     Family-constructed transforms carry (tau, k, vel); transforms produced by
@@ -104,11 +121,7 @@ class Transform:
     ``vel`` is ``math.inf`` for the infinite-velocity limit constructor.
     """
 
-    m: Mat
-    branch: BranchKind
-    tau: int | None = None
-    k: float | None = None
-    vel: float | None = None
+    __slots__ = ("m", "branch", "tau", "k", "vel")
 
     def __init__(self, m: Mat, branch: BranchKind, tau: int | None = None,
                  k: float | None = None, vel: float | None = None):
@@ -122,11 +135,10 @@ class Transform:
 _set_m, _set_branch, _set_tau, _set_k, _set_vel = _setters(Transform)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Metric:
+class Metric(_Value):
     """Symmetric non-degenerate quadratic form giving the interval squared."""
 
-    g: Mat
+    __slots__ = ("g",)
 
     def __init__(self, g: Mat):
         (_, b), (c, _) = g
@@ -145,11 +157,10 @@ STANDARD_METRIC = Metric(((1.0, 0.0), (0.0, -1.0)))
 SWAPPED_METRIC = Metric(((-1.0, 0.0), (0.0, 1.0)))
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class CoordinateSpeed:
+class CoordinateSpeed(_Value):
     """Nonnegative |dc2/dc1| in units of c; math.inf for vertical displacements."""
 
-    value: float
+    __slots__ = ("value",)
 
     def __init__(self, value: float):
         _set_value(self, value)
@@ -162,13 +173,10 @@ class CoordinateSpeed:
 (_set_value,) = _setters(CoordinateSpeed)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class CausalReport:
+class CausalReport(_Value):
     """Joint coordinate-speed and interval-sign classification of a displacement."""
 
-    coord_speed: CoordinateSpeed
-    interval_sq: float
-    causal_class: CausalClass
+    __slots__ = ("coord_speed", "interval_sq", "causal_class")
 
     def __init__(self, coord_speed: CoordinateSpeed, interval_sq: float,
                  causal_class: CausalClass):

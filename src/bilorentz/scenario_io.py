@@ -43,6 +43,14 @@ def _require_keys(obj: dict, required: set[str], optional: set[str], where: str)
         raise ScenarioFormatError(f"missing keys in {where}: {sorted(missing)}")
 
 
+def _made(where: str, make, *args):
+    """make(*args), with a ValueError it raises prefixed by the JSON path ``where``."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ScenarioFormatError(f"{where}: {exc}") from exc
+
+
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioFormatError(f"{where} must be a number, got {value!r}")
@@ -52,7 +60,7 @@ def _number(value, where: str) -> float:
 def _vector(value, where: str) -> TwoVector:
     if not (isinstance(value, list) and len(value) == 2):
         raise ScenarioFormatError(f"{where} must be a 2-element array, got {value!r}")
-    return TwoVector(_number(value[0], where), _number(value[1], where))
+    return _made(where, TwoVector, _number(value[0], where), _number(value[1], where))
 
 
 def _text(value, where: str) -> str:
@@ -64,7 +72,6 @@ def _text(value, where: str) -> str:
 def _transform_from_dict(obj: dict) -> Transform:
     _require_keys(obj, {"branch", "tau", "k", "vel"}, set(), "transform")
     branch = _text(obj["branch"], "transform.branch")
-    tau = obj["tau"]
     k = _number(obj["k"], "transform.k")
     if obj["vel"] == "infinity":
         vel = math.inf
@@ -72,10 +79,7 @@ def _transform_from_dict(obj: dict) -> Transform:
         vel = _number(obj["vel"], "transform.vel")
         if not math.isfinite(vel):
             raise ScenarioFormatError(f'transform.vel must be finite or "infinity", got {vel!r}')
-    try:
-        return make_transform(branch, tau, k, vel)
-    except ValueError as exc:
-        raise ScenarioFormatError(f"transform: {exc}") from exc
+    return _made("transform", make_transform, branch, obj["tau"], k, vel)
 
 
 def _transform_to_dict(t: Transform) -> dict:
@@ -91,23 +95,13 @@ def _worldline_from_dict(obj: dict, index: int) -> Worldline:
     kind = _text(obj["kind"], f"{where}.kind")
     if kind not in ("particle", "lightray"):
         raise ScenarioFormatError(f'{where}.kind must be "particle" or "lightray", got {kind!r}')
-    return Worldline(anchor=_vector(obj["anchor"], f"{where}.anchor"),
-                     direction=_vector(obj["direction"], f"{where}.direction"),
-                     label=_text(obj["label"], f"{where}.label"),
-                     kind=WorldlineKind(kind))
+    return _made(where, Worldline, _vector(obj["anchor"], f"{where}.anchor"),
+                 _vector(obj["direction"], f"{where}.direction"),
+                 _text(obj["label"], f"{where}.label"), WorldlineKind(kind))
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    """Build a Scenario from a parsed JSON object, validating strictly."""
-    try:
-        return _scenario_from_dict(data)
-    except ScenarioFormatError:
-        raise
-    except ValueError as exc:
-        raise ScenarioFormatError(str(exc)) from exc
-
-
-def _scenario_from_dict(data: dict) -> Scenario:
+    """Build a Scenario from parsed JSON, strictly; each error names its JSON path."""
     _require_keys(data, {"name", "transform", "worldlines", "window"}, {"events"}, "scenario")
     name = _text(data["name"], "name")
     transform = _transform_from_dict(data["transform"])
@@ -116,8 +110,8 @@ def _scenario_from_dict(data: dict) -> Scenario:
     worldlines = tuple(_worldline_from_dict(o, i)
                        for i, o in enumerate(data["worldlines"]))
     _require_keys(data["window"], {"min", "max"}, set(), "window")
-    window = Window(_vector(data["window"]["min"], "window.min"),
-                    _vector(data["window"]["max"], "window.max"))
+    window = _made("window", Window, _vector(data["window"]["min"], "window.min"),
+                   _vector(data["window"]["max"], "window.max"))
     raw_events = data.get("events", [])
     if not isinstance(raw_events, list):
         raise ScenarioFormatError("events must be an array")

@@ -15,6 +15,12 @@ These modules must stay out of ``import bilorentz.cli`` in any case:
 * ``xml.sax.saxutils`` and ``urllib.request``: ``saxutils`` imports
   ``urllib.request``, which pulls in ``http.client``, ``email`` and ``ssl``,
   only to escape three characters; ``diagram.escape`` does that itself.
+* ``dataclasses``, ``inspect`` and ``__future__``: ``dataclasses`` imports
+  ``inspect``, which pulls in ``ast``, ``dis`` and ``tokenize``, and each
+  decorated class ``exec``s generated methods; together that was over half
+  of ``import bilorentz.cli``.  The value types of ``core`` are plain slotted
+  classes, and ``core`` and ``cli``, on every command's path, evaluate their
+  annotations without ``from __future__ import annotations``.
 """
 
 import json
@@ -31,7 +37,8 @@ from bilorentz import diagram
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-FORBIDDEN = ("numpy", "bilorentz.verify", "xml.sax.saxutils", "urllib.request")
+FORBIDDEN = ("numpy", "bilorentz.verify", "xml.sax.saxutils", "urllib.request",
+             "dataclasses", "inspect", "__future__")
 
 _PROBE = f"""
 import json, sys

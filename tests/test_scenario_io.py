@@ -156,7 +156,36 @@ def test_out_of_domain_velocity_is_a_format_error(branch, vel, message):
 def test_invalid_window_is_a_format_error():
     data = scenario_to_dict(build_fig3_scenario())
     data["window"] = {"min": [3, 3], "max": [-3, -3]}
-    with pytest.raises(ScenarioFormatError):
+    with pytest.raises(ScenarioFormatError,
+                       match="^window: window must have positive width and height$"):
+        scenario_from_dict(data)
+
+
+@pytest.mark.parametrize("kind, direction, message", [
+    ("particle", [0, 0], "worldline direction must be non-zero"),
+    ("lightray", [1, 0.5], r"light ray direction \(1\.0, 0\.5\) is off the light cone by 0\.5"),
+], ids=["zero-direction", "off-cone-lightray"])
+def test_bad_worldline_names_its_index(kind, direction, message):
+    data = scenario_to_dict(build_fig3_scenario())
+    data["worldlines"][1].update(kind=kind, direction=direction)
+    with pytest.raises(ScenarioFormatError, match=rf"^worldlines\[1\]: {message}$"):
+        scenario_from_dict(data)
+
+
+@pytest.mark.parametrize("path, where", [
+    (("worldlines", 0, "anchor"), r"worldlines\[0\]\.anchor"),
+    (("window", "max"), r"window\.max"),
+    (("events", 1, "at"), r"events\[1\]\.at"),
+], ids=["anchor", "window", "event"])
+def test_non_finite_vector_names_its_path(path, where):
+    data = scenario_to_dict(build_fig4_scenario())
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    # Python's json parses the non-standard literal NaN as a float.
+    parent[path[-1]] = [json.loads("NaN"), 1.0]
+    with pytest.raises(ScenarioFormatError,
+                       match=rf"^{where}: TwoVector components must be finite, got \(nan, 1\.0\)$"):
         scenario_from_dict(data)
 
 

@@ -1,6 +1,5 @@
 """Verification engine behaviour."""
 
-import dataclasses
 import math
 import tracemalloc
 
@@ -8,6 +7,7 @@ import numpy as np
 import pytest
 
 from bilorentz import core, verify
+from bilorentz.core import Transform
 from bilorentz.verify import VerificationReport, format_report, run_verification
 
 GRID_CHECKS = (verify.check_gamma_parity, verify.check_k_recovery,
@@ -106,8 +106,17 @@ def _flip_upper_right(make_lambda):
     def mutant(tau, k, v):
         t = make_lambda(tau, k, v)
         (a, b), (c, d) = t.m
-        return dataclasses.replace(t, m=((a, -b), (c, d)))
+        return Transform(((a, -b), (c, d)), t.branch, t.tau, t.k, t.vel)
     return mutant
+
+
+def _with_tau(t, tau):
+    return Transform(t.m, t.branch, tau, t.k, t.vel)
+
+
+def _doubled(t):
+    m = tuple(tuple(2.0 * x for x in row) for row in t.m)
+    return Transform(m, t.branch, t.tau, t.k, t.vel)
 
 
 #: (core attribute, mutation of it, checks that fail at 20,000 trials and seed 0).
@@ -117,7 +126,7 @@ MUTANTS = {
         {"determinant_law", "swap_decomposition", "composition_closure",
          "light_cone_preservation"}),
     "make_l-drops-tau": (
-        "make_l", lambda make_l: lambda tau, k, w: dataclasses.replace(make_l(1, k, w), tau=tau),
+        "make_l", lambda make_l: lambda tau, k, w: _with_tau(make_l(1, k, w), tau),
         {"swap_decomposition"}),
     "gamma_antisymmetric-drops-copysign": (
         "gamma_antisymmetric",
@@ -128,12 +137,10 @@ MUTANTS = {
         "causal_sign", lambda causal_sign: lambda s2, size: -causal_sign(s2, size),
         {"divergence_witness"}),
     "refit-always-tau-1": (
-        "refit", lambda refit: lambda t, k=1.0: dataclasses.replace(refit(t, k), tau=1),
+        "refit", lambda refit: lambda t, k=1.0: _with_tau(refit(t, k), 1),
         {"composition_closure"}),
     "make_lambda_infinite_limit-doubled": (
-        "make_lambda_infinite_limit",
-        lambda limit: lambda tau, k: dataclasses.replace(
-            limit(tau, k), m=tuple(tuple(2.0 * x for x in row) for row in limit(tau, k).m)),
+        "make_lambda_infinite_limit", lambda limit: lambda tau, k: _doubled(limit(tau, k)),
         {"determinant_law"}),
     "gamma_symmetric-squares-k": (
         "gamma_symmetric", lambda gamma: lambda k, v: gamma(k * k, v),
