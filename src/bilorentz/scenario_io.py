@@ -54,7 +54,12 @@ def _made(where: str, make, *args):
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioFormatError(f"{where} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        # JSON integers are unbounded; the repr of one past 4300 digits raises.
+        raise ScenarioFormatError(f"{where} must be a number within the float range, "
+                                  f"got an integer of {value.bit_length()} bits") from None
 
 
 def _vector(value, where: str) -> TwoVector:

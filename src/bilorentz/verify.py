@@ -5,10 +5,14 @@ fuzz population; a run passes only when every residual stays within its
 tolerance.  Grid checks are deterministic; fuzz checks are reproducible
 from (seed, trials).
 
-A fuzz check draws its whole population at once, then runs every sampled
-transform over it in slices of ``_BLOCK`` trials, so that the per-slice
-temporaries stay in cache.  Every operation is elementwise and the only
-reductions are max and count, so results do not depend on the block size.
+A fuzz check draws its whole population at once, on the calling thread and
+from the one rng, then runs every sampled transform over it in slices of
+``_BLOCK`` trials, so that the per-slice temporaries stay in cache.  The
+slices run on up to ``_WORKERS`` threads (see ``_map_blocks``); numpy releases
+the GIL inside its ufunc loops, so they run in parallel.  Each slice reduces to
+its own worst residual or mismatch count, and the check folds those in slice
+order.  Every operation is elementwise and the only reductions are max and
+count, so results depend neither on the block size nor on the thread count.
 Every max is taken by ``_worst``, which keeps NaN, so a NaN residual fails
 its check.
 """
@@ -16,9 +20,11 @@ its check.
 from __future__ import annotations
 
 import math
+import os
 from collections import namedtuple
 from dataclasses import dataclass
 from itertools import product
+from threading import Event, Lock, Thread
 
 import numpy as np
 
@@ -52,15 +58,76 @@ class VerificationReport:
 
 _K_VALUES = (-1.0, -0.5, 0.5, 1.0)
 
-#: Trials per slice in the fuzz checks: 256 KiB per float64 temporary, so a
-#: slice's working set fits in L2.  Of 2**12 to 2**20, 2**15 ran fastest on
-#: a host with 2 MiB of L2 per core; 2**17 and up ran nearly 2x slower.
+#: Trials per slice in the fuzz checks: 256 KiB per float64 temporary.  On a
+#: 2-core host with both CPUs working, the four fuzz checks at 1e6 trials took
+#: 250 ms at 2**16, 255 ms at 2**15, 298 ms at 2**14, 303 ms at 2**17 and 487 ms
+#: at 2**13, whose short ufunc calls spend their time handing over the GIL.  Each
+#: helper thread's malloc arena keeps the high-water mark of its slices'
+#: temporaries: verify --trials 1000000 peaked at 54.2 MB RSS at 2**14, 56.6 MB
+#: at 2**15 and 60.4 MB at 2**16 (53.0 MB with one thread at 2**15).
 _BLOCK = 1 << 15
 
+#: Threads that work through a fuzz check's slices, the calling thread among
+#: them: one per CPU this process may run on, but at most 2, the count that was
+#: measured.  Each helper keeps about 2.5 MB of slice temporaries in its own
+#: malloc arena, which a third thread would add to verify's peak RSS and to the
+#: bytes per trial that test_verify_memory_is_bounded_per_trial bounds, and the
+#: GIL handed over on every ufunc call held 2 threads to a 1.37x speed-up.  The
+#: affinity mask also ignores a cgroup's CPU quota.
+_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+         else os.cpu_count() or 1)
+_WORKERS = 2 if _CPUS >= 2 else 1
 
-def _blocks(trials: int):
-    """Consecutive slices of at most _BLOCK trials covering range(trials)."""
-    return (slice(i, i + _BLOCK) for i in range(0, trials, _BLOCK))
+
+def _map_blocks(fn, trials: int) -> list:
+    """[fn(block) for each consecutive slice of at most _BLOCK trials covering
+    range(trials)], computed by _WORKERS threads, the caller among them, that claim
+    blocks in order under one lock.  No more threads run than there are blocks;
+    with one, the map runs inline and starts none.
+
+    An exception is raised as the serial loop would raise it: the one from the
+    earliest failing block.  Blocks are claimed in order and a claimed block runs
+    to its end, so every block before a failing one ran; after a failure the
+    workers stop claiming.  Each worker catches whatever fn raises, interrupts
+    included, for the caller to re-raise here, so no helper thread ends on an
+    exception that only threading.excepthook would see.
+    """
+    blocks = [slice(i, i + _BLOCK) for i in range(0, trials, _BLOCK)]
+    workers = _WORKERS if _WORKERS < len(blocks) else len(blocks)
+    if workers <= 1:
+        return [fn(block) for block in blocks]
+    out = [None] * len(blocks)
+    stop = Event()
+    claimed = iter(range(len(blocks)))
+    lock = Lock()
+
+    def work():
+        while not stop.is_set():
+            with lock:
+                i = next(claimed, None)
+            if i is None:
+                return
+            try:
+                out[i] = fn(blocks[i])
+            except BaseException as exc:
+                out[i] = exc
+                stop.set()
+
+    helpers = [Thread(target=work) for _ in range(workers - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        work()
+        for helper in helpers:
+            helper.join()
+    finally:
+        # An interrupt between two fn calls leaves work() uncaught: stop the helpers
+        # rather than leave them to finish every block before the process can exit.
+        stop.set()
+    for result in out:
+        if isinstance(result, BaseException):
+            raise result
+    return out
 
 
 def _w_grid() -> np.ndarray:
@@ -122,6 +189,13 @@ def _gap(a: core.Mat, b: core.Mat, sign: int = 1) -> float:
     (b00, b01), (b10, b11) = b
     return _worst((abs(a00 - sign * b00), abs(a01 - sign * b01),
                    abs(a10 - sign * b10), abs(a11 - sign * b11)))
+
+
+def _minus_signs(rng: np.random.Generator, n: int) -> np.ndarray:
+    """True where rng.choice([-1.0, 1.0], size=n) would draw -1.0, from the same
+    draws: choice indexes its population with rng.integers(0, 2, size=n).  One
+    byte per trial, where choice's float64 result takes eight."""
+    return rng.integers(0, 2, size=n) == 0
 
 
 def _sample_w(rng: np.random.Generator) -> float:
@@ -241,43 +315,57 @@ def check_interval_invariance(rng: np.random.Generator, trials: int) -> CheckRes
     c1, c2 = rng.uniform(-1.0, 1.0, size=(2, trials))
     pairs = _sample_matrices_and_metrics(rng, 10)
 
-    def gaps():
-        for block in _blocks(trials):
-            b1, b2 = c1[block], c2[block]
-            s_before = core.quad_form(STANDARD_METRIC.g, b1, b2)
-            floor = np.maximum(1.0, np.abs(s_before))
+    def block_gap(block):
+        b1, b2 = c1[block], c2[block]
+        s_before = core.quad_form(STANDARD_METRIC.g, b1, b2)
+        floor = np.maximum(1.0, np.abs(s_before))
+
+        def gaps():
             for m, gp in pairs:
                 s_after = core.quad_form(gp, *core.mat_vec(m, b1, b2))
                 # denom first: in one fused expression, a fresh process took ~20% more
                 # page faults here and ran this check ~9% slower at 1e6 trials.
                 denom = np.maximum(floor, np.abs(s_after))
                 yield np.abs(s_after - s_before) / denom
-    return CheckResult("interval_invariance", _worst(gaps()), 1e-9)
+        return _worst(gaps())
+    return CheckResult("interval_invariance", _worst(_map_blocks(block_gap, trials)), 1e-9)
 
 
 def check_light_cone_preservation(rng: np.random.Generator, trials: int) -> CheckResult:
-    """Lightlike displacements stay lightlike under every family transform."""
-    c1 = rng.uniform(0.01, 1.0, size=trials) * rng.choice([-1.0, 1.0], size=trials)
-    c2 = c1 * rng.choice([-1.0, 1.0], size=trials)
+    """Lightlike displacements stay lightlike under every family transform.
+
+    The displacement is (c1, c2) = (s1*r, s2*s1*r), with r uniform on [0.01, 1)
+    and fair random signs s1, s2.  The signs are kept as masks and applied per
+    block, so the population takes 10 bytes per trial.
+    """
+    r = rng.uniform(0.01, 1.0, size=trials)
+    minus1, minus2 = _minus_signs(rng, trials), _minus_signs(rng, trials)
     matrices = [t.m for t in _sample_family_transforms(rng, 5)]
-    gaps = (np.abs(np.abs(e1) - np.abs(e2)) for block in _blocks(trials)
-            for e1, e2 in (core.mat_vec(m, c1[block], c2[block]) for m in matrices))
-    return CheckResult("light_cone_preservation", _worst(gaps), 1e-12)
+
+    def block_gap(block):
+        c1 = np.where(minus1[block], -r[block], r[block])
+        c2 = np.where(minus2[block], -c1, c1)
+        return _worst(np.abs(np.abs(e1) - np.abs(e2))
+                      for e1, e2 in (core.mat_vec(m, c1, c2) for m in matrices))
+    return CheckResult("light_cone_preservation", _worst(_map_blocks(block_gap, trials)), 1e-12)
 
 
 def check_causal_class_absoluteness(rng: np.random.Generator, trials: int) -> CheckResult:
     """The timelike/lightlike/spacelike class never changes across frames."""
     c1, c2 = rng.uniform(-1.0, 1.0, size=(2, trials))
     pairs = _sample_matrices_and_metrics(rng, 5)
-    mismatches = 0
-    for block in _blocks(trials):
+
+    def block_mismatches(block):
         b1, b2 = c1[block], c2[block]
         cls_before = core.causal_sign(core.quad_form(STANDARD_METRIC.g, b1, b2),
                                       core.form_size(STANDARD_METRIC.g, b1, b2))
+        mismatches = 0
         for m, gp in pairs:
             e1, e2 = core.mat_vec(m, b1, b2)
             cls_after = core.causal_sign(core.quad_form(gp, e1, e2), core.form_size(gp, e1, e2))
             mismatches += int(np.count_nonzero(cls_before != cls_after))
+        return mismatches
+    mismatches = sum(_map_blocks(block_mismatches, trials))
     return CheckResult("causal_class_absoluteness", float(mismatches), 0.0)
 
 
@@ -289,9 +377,11 @@ def check_measured_speed_bound(rng: np.random.Generator, trials: int) -> CheckRe
     """
     v = rng.uniform(-0.99, 0.99, size=trials)
     matrices = [core.make_l(-1, 1.0, _sample_w(rng)).m for _ in range(5)]
-    speeds = (np.abs(np.divide(*core.mat_vec(m, 1.0, v[block])))
-              for block in _blocks(trials) for m in matrices)
-    return CheckResult("measured_speed_bound", _worst(speeds), 1.0 - 1e-9)
+
+    def block_speed(block):
+        return _worst(np.abs(np.divide(*core.mat_vec(m, 1.0, v[block]))) for m in matrices)
+    return CheckResult("measured_speed_bound", _worst(_map_blocks(block_speed, trials)),
+                       1.0 - 1e-9)
 
 
 def check_divergence_witness() -> CheckResult:

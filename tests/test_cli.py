@@ -310,6 +310,18 @@ def test_diagram_bad_worldline_names_it_on_stderr(tmp_path, capsys):
     assert err == "error: worldlines[1]: worldline direction must be non-zero\n"
 
 
+def test_diagram_integer_beyond_the_float_range_exits_2(tmp_path, capsys):
+    data = scenario_to_dict(build_fig2_scenario())
+    data["transform"]["k"] = int("9" * 400)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run_cli(capsys, "diagram", "--scenario", str(path),
+                             "--out", str(tmp_path / "x"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: transform.k must be a number within the float range")
+    assert err.count("\n") == 1
+
+
 def test_diagram_empty_window_exits_3(tmp_path, capsys):
     data = scenario_to_dict(build_fig2_scenario())
     data["window"] = {"min": [50, -40], "max": [60, -20]}

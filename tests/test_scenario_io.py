@@ -189,6 +189,22 @@ def test_non_finite_vector_names_its_path(path, where):
         scenario_from_dict(data)
 
 
+@pytest.mark.parametrize("path, where", [
+    (("transform", "k"), r"transform\.k"),
+    (("worldlines", 0, "anchor", 1), r"worldlines\[0\]\.anchor"),
+], ids=["k", "anchor"])
+def test_integer_beyond_the_float_range_names_its_path(path, where):
+    data = scenario_to_dict(build_fig3_scenario())
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = json.loads("9" * 400)
+    with pytest.raises(ScenarioFormatError,
+                       match=rf"^{where} must be a number within the float range, "
+                             r"got an integer of 1329 bits$"):
+        scenario_from_dict(data)
+
+
 def test_derived_transform_not_serializable():
     s = build_fig3_scenario()
     derived = compose(make_lambda(1, 1.0, 0.1), make_lambda(1, 1.0, 0.1))

@@ -34,6 +34,33 @@ def test_verify_folds_residuals_only_with_worst():
     assert found == [], f"verify.py: builtin max/min at lines {found}"
 
 
+def test_verify_slices_fuzz_populations_only_in_map_blocks():
+    # _map_blocks runs the blocks on its worker threads and returns their results
+    # in block order; a check that slices by _BLOCK itself would run serially, and
+    # one with its own pool could fold in another order.
+    path = next(p for p in SOURCES if p.name == "verify.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    helper = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_map_blocks")
+    inside = set(ast.walk(helper))
+    reads = [node for node in ast.walk(tree) if isinstance(node, ast.Name)
+             and node.id == "_BLOCK" and isinstance(node.ctx, ast.Load)]
+    outside = [node.lineno for node in reads if node not in inside]
+    assert reads and outside == [], f"verify.py: _BLOCK read outside _map_blocks at {outside}"
+
+
+def test_verify_reads_no_environment():
+    # The worker count comes from the CPU affinity, not from a variable a run inherits.
+    path = next(p for p in SOURCES if p.name == "verify.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    names = {"environ", "environb", "getenv", "getenvb"}
+    found = [node.lineno for node in ast.walk(tree)
+             if (isinstance(node, ast.Attribute) and node.attr in names)
+             or (isinstance(node, ast.Name) and node.id in names)
+             or (isinstance(node, ast.alias) and node.name in names)]
+    assert found == [], f"verify.py: reads the environment at lines {found}"
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_default_tol_is_always_scaled(path):
     # The one zero test is relative: DEFAULT_TOL times the size of the operands.

@@ -1,12 +1,15 @@
 """Verification engine behaviour."""
 
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from bilorentz import core, verify
+from bilorentz import cli, core, verify
 from bilorentz.core import Transform
 from bilorentz.verify import VerificationReport, format_report, run_verification
 
@@ -237,6 +240,217 @@ def test_each_fuzz_trial_meets_each_sampled_transform_once(monkeypatch):
         check(np.random.default_rng(0), trials)
         assert len(covered) == blocks * transforms, check.__name__
         assert sum(covered) == trials * transforms, check.__name__
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11, 1000])
+def test_report_does_not_depend_on_the_worker_count(monkeypatch, seed):
+    monkeypatch.setattr(verify, "_BLOCK", 7)
+    trials = 7 * 5 + 3
+    reports = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(verify, "_WORKERS", workers)
+        reports.append(run_verification(trials=trials, seed=seed))
+    assert reports[0] == reports[1] == reports[2]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_map_blocks_keeps_block_order_and_raises_the_earliest_failure(monkeypatch, workers):
+    monkeypatch.setattr(verify, "_BLOCK", 1)
+    monkeypatch.setattr(verify, "_WORKERS", workers)
+    assert verify._map_blocks(lambda block: block.start, 50) == list(range(50))
+
+    def fails_late(block):
+        if block.start in (20, 30):
+            raise ValueError(block.start)
+        return block.start
+
+    for _ in range(20):
+        with pytest.raises(ValueError, match="^20$"):
+            verify._map_blocks(fails_late, 50)
+
+
+def test_map_blocks_runs_each_block_once_under_contention(monkeypatch):
+    """More workers than cores and a short switch interval: a block claimed
+    twice or never would show in the calls or in the results."""
+    monkeypatch.setattr(verify, "_BLOCK", 1)
+    monkeypatch.setattr(verify, "_WORKERS", 8)
+    ran = []
+
+    def record(block):
+        ran.append(block.start)
+        return block.start
+
+    threads = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            ran.clear()
+            assert verify._map_blocks(record, 300) == list(range(300))
+            assert sorted(ran) == list(range(300))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads
+
+
+def test_an_interrupt_between_blocks_stops_the_helpers(monkeypatch):
+    """A KeyboardInterrupt that lands outside fn, here in the third claim of the
+    calling thread, propagates, and the helper stops after its current block."""
+    class InterruptedLock:
+        def __init__(self):
+            self.lock, self.claims = threading.Lock(), 0
+
+        def __enter__(self):
+            if threading.current_thread() is threading.main_thread():
+                self.claims += 1
+                if self.claims == 3:
+                    raise KeyboardInterrupt
+            self.lock.acquire()
+
+        def __exit__(self, *exc):
+            self.lock.release()
+
+    ran = []
+
+    def slow(block):
+        ran.append(block.start)
+        time.sleep(0.001)
+
+    monkeypatch.setattr(verify, "Lock", InterruptedLock)
+    monkeypatch.setattr(verify, "_BLOCK", 1)
+    monkeypatch.setattr(verify, "_WORKERS", 2)
+    threads = set(threading.enumerate())
+    with pytest.raises(KeyboardInterrupt):
+        verify._map_blocks(slow, 2000)
+    for helper in set(threading.enumerate()) - threads:
+        helper.join(1.0)
+        assert not helper.is_alive()
+    assert len(ran) < 100
+
+
+def test_helper_threads_are_fewer_than_blocks(monkeypatch):
+    """One worker or one block runs inline; 64 workers on 3 blocks start 2 helpers."""
+    started = []
+
+    class CountedThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(verify, "Thread", CountedThread)
+    monkeypatch.setattr(verify, "_BLOCK", 7)
+    for workers, trials, helpers in ((1, 38, 0), (2, 7, 0), (64, 17, 2)):
+        monkeypatch.setattr(verify, "_WORKERS", workers)
+        started.clear()
+        assert verify._map_blocks(lambda block: block.start, trials) == list(range(0, trials, 7))
+        assert len(started) == helpers, (workers, trials)
+
+
+def test_workers_are_capped_at_the_measured_count():
+    # Each helper adds its own malloc arena of slice temporaries; only 2 threads
+    # were measured against the RSS and bytes-per-trial bounds.
+    assert verify._WORKERS == (2 if verify._CPUS >= 2 else 1)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_nan_in_the_last_block_fails_each_fuzz_check(monkeypatch, workers):
+    """The last of the four blocks is the only one of 5 trials; a NaN planted
+    there must survive the fold of the per-block results."""
+    real_mat_vec = core.mat_vec
+
+    def nan_in_last_block(m, c1, c2):
+        e1, e2 = real_mat_vec(m, c1, c2)
+        if np.broadcast(c1, c2).size == 5:
+            e1, e2 = e1.copy(), e2.copy()
+            e1[-1] = e2[-1] = math.nan
+        return e1, e2
+
+    monkeypatch.setattr(core, "mat_vec", nan_in_last_block)
+    monkeypatch.setattr(verify, "_BLOCK", 7)
+    monkeypatch.setattr(verify, "_WORKERS", workers)
+    for check in FUZZ_CHECKS:
+        result = check(np.random.default_rng(0), 7 * 3 + 5)
+        assert not result.passed, result
+
+
+def _fails_once_in_a_helper(monkeypatch, error):
+    """Patch core.mat_vec so that the first block a helper thread runs raises
+    error; the calling thread waits in its first block until that happened."""
+    real_mat_vec = core.mat_vec
+    raised = threading.Event()
+
+    def mat_vec(m, c1, c2):
+        if isinstance(c2, np.ndarray):
+            if threading.current_thread() is threading.main_thread():
+                raised.wait(10)
+            elif not raised.is_set():
+                raised.set()
+                raise error
+        return real_mat_vec(m, c1, c2)
+
+    monkeypatch.setattr(core, "mat_vec", mat_vec)
+    monkeypatch.setattr(verify, "_BLOCK", 1000)
+    monkeypatch.setattr(verify, "_WORKERS", 2)
+    return raised
+
+
+def test_an_error_in_a_helper_thread_is_the_checks_named_fail(capsys, monkeypatch):
+    raised = _fails_once_in_a_helper(monkeypatch, ValueError("planted in a helper"))
+    code = cli.main(["verify", "--trials", "20000", "--seed", "0"])
+    out, err = capsys.readouterr()
+    assert raised.is_set()
+    assert code == 1
+    assert err == ""
+    assert ("interval_invariance: max_residual=nan tol=nan FAIL "
+            "raised ValueError: planted in a helper\n") in out
+    assert out.endswith("1 of 13 identity checks failed\n")
+
+
+def test_memory_error_in_a_helper_thread_exits_2(capsys, monkeypatch):
+    raised = _fails_once_in_a_helper(monkeypatch, MemoryError("planted in a helper"))
+    code = cli.main(["verify", "--trials", "20000", "--seed", "0"])
+    out, err = capsys.readouterr()
+    assert raised.is_set()
+    assert (code, out) == (2, "")
+    assert err == "error: out of memory: planted in a helper\n"
+
+
+@pytest.mark.parametrize("seed", [0, 7, 1000])
+def test_minus_signs_are_the_draws_of_choice(seed):
+    """The light-cone check draws its signs through rng.integers to save memory;
+    they must be rng.choice([-1.0, 1.0])'s and leave the rng in the same state,
+    or every later draw of verify would change."""
+    for n in (1, 7, 100_001):
+        ours, choices = np.random.default_rng(seed), np.random.default_rng(seed)
+        minus = verify._minus_signs(ours, n)
+        assert np.array_equal(minus, choices.choice([-1.0, 1.0], size=n) == -1.0)
+        assert ours.bit_generator.state == choices.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", [0, 5, 1000])
+def test_light_cone_population_matches_its_choice_reference(monkeypatch, seed):
+    """Reference: the population drawn with rng.choice and multiplied out.  The
+    check's residual is 0.0 either way, so compare what reaches core.mat_vec."""
+    trials = 70_000
+    rng = np.random.default_rng(seed)
+    c1 = rng.uniform(0.01, 1.0, size=trials) * rng.choice([-1.0, 1.0], size=trials)
+    c2 = c1 * rng.choice([-1.0, 1.0], size=trials)
+    transforms = len(verify._sample_family_transforms(rng, 5))
+    seen = []
+    real_mat_vec = core.mat_vec
+
+    def recording_mat_vec(m, b1, b2):
+        seen.append((b1, b2))
+        return real_mat_vec(m, b1, b2)
+
+    monkeypatch.setattr(core, "mat_vec", recording_mat_vec)
+    monkeypatch.setattr(verify, "_WORKERS", 1)
+    checked = np.random.default_rng(seed)
+    verify.check_light_cone_preservation(checked, trials)
+    first_transform = seen[::transforms]
+    assert np.concatenate([b1 for b1, _ in first_transform]).tobytes() == c1.tobytes()
+    assert np.concatenate([b2 for _, b2 in first_transform]).tobytes() == c2.tobytes()
+    assert checked.bit_generator.state == rng.bit_generator.state
 
 
 def test_verify_memory_is_bounded_per_trial():
