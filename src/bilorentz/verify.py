@@ -7,7 +7,8 @@ from (seed, trials).
 
 A fuzz check draws its whole population at once, on the calling thread and
 from the one rng, then runs every sampled transform over it in slices of
-``_BLOCK`` trials, so that the per-slice temporaries stay in cache.  The
+``_BLOCK`` trials, so that the per-slice temporaries stay in cache, and
+the memory a slice frees stays in the process for the next one.  The
 slices run on up to ``_WORKERS`` threads (see ``_map_blocks``); numpy releases
 the GIL inside its ufunc loops, so they run in parallel.  Each slice reduces to
 its own worst residual or mismatch count, and the check folds those in slice
@@ -58,13 +59,14 @@ class VerificationReport:
 
 _K_VALUES = (-1.0, -0.5, 0.5, 1.0)
 
-#: Trials per slice in the fuzz checks: 256 KiB per float64 temporary.  On a
-#: 2-core host with both CPUs working, the four fuzz checks at 1e6 trials took
-#: 250 ms at 2**16, 255 ms at 2**15, 298 ms at 2**14, 303 ms at 2**17 and 487 ms
-#: at 2**13, whose short ufunc calls spend their time handing over the GIL.  Each
-#: helper thread's malloc arena keeps the high-water mark of its slices'
-#: temporaries: verify --trials 1000000 peaked at 54.2 MB RSS at 2**14, 56.6 MB
-#: at 2**15 and 60.4 MB at 2**16 (53.0 MB with one thread at 2**15).
+#: Trials per slice in the fuzz checks: 256 KiB per float64 temporary.  In fresh
+#: processes on a 2-core host with both CPUs working (median of 7), the four fuzz
+#: checks at 1e6 trials took 404 ms at 2**16, 428 ms at 2**15, 454 ms at 2**17,
+#: 525 ms at 2**14 and 823 ms at 2**13, whose short ufunc calls spend their time
+#: handing over the GIL.  Each helper thread's malloc arena keeps the high-water
+#: mark of its slices' temporaries: the process peaked at 53.1 MB RSS at 2**14,
+#: 55.2 MB at 2**15, 59.9 MB at 2**16 and 69.5 MB at 2**17 (52.6 MB with one
+#: thread at 2**15), so 2**16 would buy about 5% for 4.7 MB.
 _BLOCK = 1 << 15
 
 #: Threads that work through a fuzz check's slices, the calling thread among
@@ -72,8 +74,8 @@ _BLOCK = 1 << 15
 #: measured.  Each helper keeps about 2.5 MB of slice temporaries in its own
 #: malloc arena, which a third thread would add to verify's peak RSS and to the
 #: bytes per trial that test_verify_memory_is_bounded_per_trial bounds, and the
-#: GIL handed over on every ufunc call held 2 threads to a 1.37x speed-up.  The
-#: affinity mask also ignores a cgroup's CPU quota.
+#: GIL handed over on every ufunc call held 2 threads to a 1.25-1.31x speed-up
+#: in fresh processes.  The affinity mask also ignores a cgroup's CPU quota.
 _CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
          else os.cpu_count() or 1)
 _WORKERS = 2 if _CPUS >= 2 else 1
@@ -92,6 +94,14 @@ def _map_blocks(fn, trials: int) -> list:
     included, for the caller to re-raise here, so no helper thread ends on an
     exception that only threading.excepthook would see.
     """
+    # glibc malloc mmaps a chunk above its mmap threshold (128 KiB at start-up), and
+    # freeing it raises that threshold to its size and the trim threshold to twice that
+    # (mallopt(3)).  Until then each 256 KiB block temporary comes from the heap, and
+    # free() gives the free top of the heap back to the kernel once it passes the
+    # 128 KiB trim threshold, so the next block faults the same pages in again.  One
+    # untouched 2 MiB chunk, freed at once, keeps freed blocks in the process from the
+    # first block on.
+    np.empty(8 * _BLOCK)
     blocks = [slice(i, i + _BLOCK) for i in range(0, trials, _BLOCK)]
     workers = _WORKERS if _WORKERS < len(blocks) else len(blocks)
     if workers <= 1:
@@ -323,10 +333,7 @@ def check_interval_invariance(rng: np.random.Generator, trials: int) -> CheckRes
         def gaps():
             for m, gp in pairs:
                 s_after = core.quad_form(gp, *core.mat_vec(m, b1, b2))
-                # denom first: in one fused expression, a fresh process took ~20% more
-                # page faults here and ran this check ~9% slower at 1e6 trials.
-                denom = np.maximum(floor, np.abs(s_after))
-                yield np.abs(s_after - s_before) / denom
+                yield np.abs(s_after - s_before) / np.maximum(floor, np.abs(s_after))
         return _worst(gaps())
     return CheckResult("interval_invariance", _worst(_map_blocks(block_gap, trials)), 1e-9)
 

@@ -1,10 +1,14 @@
 """Verification engine behaviour."""
 
 import math
+import os
+import platform
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,8 @@ import pytest
 from bilorentz import cli, core, verify
 from bilorentz.core import Transform
 from bilorentz.verify import VerificationReport, format_report, run_verification
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 GRID_CHECKS = (verify.check_gamma_parity, verify.check_k_recovery,
                verify.check_determinant_law, verify.check_swap_decomposition,
@@ -470,6 +476,27 @@ def test_verify_memory_is_bounded_per_trial():
         if not was_tracing:
             tracemalloc.stop()
     assert (peak - before) / trials < 40
+
+
+def _verify_minor_faults(trials: int) -> int:
+    """Minor page faults of a fresh ``verify --trials <trials>`` process."""
+    import resource  # Unix only; its one caller is skipped off glibc
+
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
+    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+    subprocess.run([sys.executable, "-m", "bilorentz.cli", "verify", "--trials", str(trials)],
+                   env=env, capture_output=True, check=True, timeout=120)
+    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="counts glibc malloc's faults")
+def test_fuzz_blocks_do_not_refault_their_temporaries():
+    """A count, not a timing: the faults a fresh 400,000-trial run takes beyond a
+    1-trial run.  Its populations and block temporaries fault in once (about 3,000
+    pages); temporaries that glibc hands back to the kernel after each block, to
+    fault them in again for the next one, took over 20,000 more."""
+    extra = _verify_minor_faults(400_000) - _verify_minor_faults(1)
+    assert extra < 10_000, f"{extra} more minor faults at 400,000 trials than at 1"
 
 
 def test_rejects_nonpositive_trials():

@@ -15,10 +15,10 @@ code, killed/total, and then every surviving site as
 ``line function: before -> after``.
 
 Run with ``python tools/mutants.py``.  It uses only the standard library plus
-what ``bilorentz verify`` itself needs, and took about 24 s for the 127
-mutants of core.py on a quiet shared 2-core host (60 s on a busy one).  It starts one process at a
-time, because each ``verify`` run already spreads its fuzz blocks over up to
-two CPUs.  It is not part of the test suite.
+what ``bilorentz verify`` itself needs, and took 35-48 s for the 127 mutants
+of core.py on a shared 2-core host.  It starts one process at a time,
+because each ``verify`` run already spreads its fuzz blocks over up to two
+CPUs.  It is not part of the test suite.
 """
 
 from __future__ import annotations
