@@ -5,15 +5,18 @@ fuzz population; a run passes only when every residual stays within its
 tolerance.  Grid checks are deterministic; fuzz checks are reproducible
 from (seed, trials).
 
-A fuzz check draws its whole population at once, on the calling thread and
-from the one rng, then runs every sampled transform over it in slices of
-``_BLOCK`` trials, so that the per-slice temporaries stay in cache, and
-the memory a slice frees stays in the process for the next one.  The
-slices run on up to ``_WORKERS`` threads (see ``_map_blocks``); numpy releases
-the GIL inside its ufunc loops, so they run in parallel.  Each slice reduces to
+A fuzz check draws its whole population at once from the one rng, then runs
+every sampled transform over it in slices of ``_BLOCK`` trials, so that the
+per-slice temporaries stay in cache, and the memory a slice frees stays in
+the process for the next one.  On 2 or more CPUs, ``run_verification`` forks
+one peer process just before the first fuzz check (see ``_with_peer``).  The
+peer starts from the same rng state, so it draws the same populations and
+samples the same transforms; each process runs every other slice, and only
+the slices' results cross a pipe (see ``_map_blocks``).  Two processes share
+no GIL, so no ufunc call of one waits on the other.  Each slice reduces to
 its own worst residual or mismatch count, and the check folds those in slice
 order.  Every operation is elementwise and the only reductions are max and
-count, so results depend neither on the block size nor on the thread count.
+count, so results depend neither on the block size nor on whether a peer ran.
 Every max is taken by ``_worst``, which keeps NaN, so a NaN residual fails
 its check.
 """
@@ -22,10 +25,12 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
+import signal
 from collections import namedtuple
+from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import product
-from threading import Event, Lock, Thread
 
 import numpy as np
 
@@ -60,84 +65,155 @@ class VerificationReport:
 _K_VALUES = (-1.0, -0.5, 0.5, 1.0)
 
 #: Trials per slice in the fuzz checks: 256 KiB per float64 temporary.  In fresh
-#: processes on a 2-core host with both CPUs working (median of 7), the four fuzz
-#: checks at 1e6 trials took 404 ms at 2**16, 428 ms at 2**15, 454 ms at 2**17,
-#: 525 ms at 2**14 and 823 ms at 2**13, whose short ufunc calls spend their time
-#: handing over the GIL.  Each helper thread's malloc arena keeps the high-water
-#: mark of its slices' temporaries: the process peaked at 53.1 MB RSS at 2**14,
-#: 55.2 MB at 2**15, 59.9 MB at 2**16 and 69.5 MB at 2**17 (52.6 MB with one
-#: thread at 2**15), so 2**16 would buy about 5% for 4.7 MB.
+#: processes on a 2-core host with the peer sharing the slices (two rounds, median
+#: of 9 each), the four fuzz checks at 1e6 trials took 364 and 405 ms at 2**13, 319
+#: and 354 ms at 2**14, 301 and 324 ms at 2**15 and 362 and 371 ms at 2**16.  The
+#: calling process peaked at 51.9 MB RSS at 2**13 and 2**14, 52.7 MB at 2**15 and
+#: 55.0 MB at 2**16.  At 1e5 trials 2**14 and 2**15 both took 43 ms, at 37.3 and
+#: 39.0 MB, so 2**14 would save 1.7 MB there and cost 6-9% at 1e6.
 _BLOCK = 1 << 15
 
-#: Threads that work through a fuzz check's slices, the calling thread among
-#: them: one per CPU this process may run on, but at most 2, the count that was
-#: measured.  Each helper keeps about 2.5 MB of slice temporaries in its own
-#: malloc arena, which a third thread would add to verify's peak RSS and to the
-#: bytes per trial that test_verify_memory_is_bounded_per_trial bounds, and the
-#: GIL handed over on every ufunc call held 2 threads to a 1.25-1.31x speed-up
-#: in fresh processes.  The affinity mask also ignores a cgroup's CPU quota.
+#: Processes that share a fuzz check's slices, the calling one among them: one per
+#: CPU this process may run on, but at most 2, the count that was measured.  Each
+#: holds its own copy of the populations, 16 bytes per trial, and its own slice
+#: temporaries: at 1e6 trials the calling process peaked at 52.7 MB RSS and the peer
+#: at 48.3 MB, where one process running the slices on two threads peaked at 55.1 MB.
+#: In the rounds above two processes ran the four checks 1.66-1.69x faster than one
+#: (500 and 548 ms); two threads, which trade the GIL on every ufunc call, took 420
+#: and 432 ms.  The affinity mask also ignores a cgroup's CPU quota.
 _CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
          else os.cpu_count() or 1)
 _WORKERS = 2 if _CPUS >= 2 else 1
 
+#: (rank, pipe, pid) while a forked peer shares this context's fuzz checks (see
+#: _with_peer): rank 0, the read end and the peer's pid in the caller, rank 1, the
+#: write end and the caller's pid in the peer.  A context variable, so that a run in another thread neither sees nor
+#: shares it.
+_PEER = ContextVar("_PEER", default=None)
 
-def _map_blocks(fn, trials: int) -> list:
+
+def _map_blocks(fn, trials: int) -> list | int:
     """[fn(block) for each consecutive slice of at most _BLOCK trials covering
-    range(trials)], computed by _WORKERS threads, the caller among them, that claim
-    blocks in order under one lock.  No more threads run than there are blocks;
-    with one, the map runs inline and starts none.
+    range(trials)], or with fn None the number of those slices, counted without
+    making them.  While a peer process shares the fuzz checks (see _with_peer),
+    each process runs the blocks i with i % 2 == its rank, and the peer sends its
+    results over the pipe for the caller to fold in block order.  Otherwise, or
+    with one block, the map runs inline.
 
     An exception is raised as the serial loop would raise it: the one from the
-    earliest failing block.  Blocks are claimed in order and a claimed block runs
-    to its end, so every block before a failing one ran; after a failure the
-    workers stop claiming.  Each worker catches whatever fn raises, interrupts
-    included, for the caller to re-raise here, so no helper thread ends on an
-    exception that only threading.excepthook would see.
+    earliest failing block.  Each side stops at its first failing block, so every
+    block before the earliest failure ran on one side or the other.  The peer
+    raises its own exception too, after sending it, so that both processes go on
+    to the same next check.  A peer whose caller is gone leaves by SystemExit,
+    before its next block or when its send fails.
     """
+    starts = range(0, trials, _BLOCK)
+    if fn is None:
+        return len(starts)
     # glibc malloc mmaps a chunk above its mmap threshold (128 KiB at start-up), and
     # freeing it raises that threshold to its size and the trim threshold to twice that
     # (mallopt(3)).  Until then each 256 KiB block temporary comes from the heap, and
     # free() gives the free top of the heap back to the kernel once it passes the
     # 128 KiB trim threshold, so the next block faults the same pages in again.  One
     # untouched 2 MiB chunk, freed at once, keeps freed blocks in the process from the
-    # first block on.
+    # first block on.  _with_peer frees a population-sized chunk for the same reason,
+    # but only a chunk of at most 32 MiB moves the thresholds, so this one is still
+    # needed without a peer and above about 2e6 trials.
     np.empty(8 * _BLOCK)
-    blocks = [slice(i, i + _BLOCK) for i in range(0, trials, _BLOCK)]
-    workers = _WORKERS if _WORKERS < len(blocks) else len(blocks)
-    if workers <= 1:
+    blocks = [slice(i, i + _BLOCK) for i in starts]
+    peer = _PEER.get()
+    if peer is None or len(blocks) < 2:
         return [fn(block) for block in blocks]
-    out = [None] * len(blocks)
-    stop = Event()
-    claimed = iter(range(len(blocks)))
-    lock = Lock()
-
-    def work():
-        while not stop.is_set():
-            with lock:
-                i = next(claimed, None)
-            if i is None:
-                return
-            try:
-                out[i] = fn(blocks[i])
-            except BaseException as exc:
-                out[i] = exc
-                stop.set()
-
-    helpers = [Thread(target=work) for _ in range(workers - 1)]
-    for helper in helpers:
-        helper.start()
+    rank, pipe, pid = peer
+    mine = _run_share(fn, blocks[rank::2], pid if rank == 1 else None)
+    if rank == 1:
+        try:
+            pipe.write(pickle.dumps((fn.__qualname__, mine)))
+            pipe.flush()
+        except OSError:
+            raise SystemExit from None      # the read end is closed: nobody waits for this
+        results, error = mine
+        if error is not None:
+            raise error
+        return results
     try:
-        work()
-        for helper in helpers:
-            helper.join()
-    finally:
-        # An interrupt between two fn calls leaves work() uncaught: stop the helpers
-        # rather than leave them to finish every block before the process can exit.
-        stop.set()
-    for result in out:
-        if isinstance(result, BaseException):
-            raise result
+        tag, theirs = pickle.load(pipe)
+        lost = tag != fn.__qualname__
+    except Exception:
+        lost = True
+    if lost:
+        # The peer died, or fell out of step because a check raised before its
+        # _map_blocks call in one process only: stop the peer and run its share here.
+        os.kill(pid, signal.SIGKILL)
+        _PEER.set(None)
+        theirs = _run_share(fn, blocks[1::2])
+    out = []
+    for i in range(len(blocks)):
+        results, error = (mine, theirs)[i % 2]
+        if i // 2 == len(results):
+            raise error
+        out.append(results[i // 2])
     return out
+
+
+def _run_share(fn, blocks, caller=None) -> tuple:
+    """([fn(block) for each block before the first that raises], its exception or
+    None).  An interrupt is not an error of a block: it propagates at once.  In the
+    peer, caller is the calling process's pid: once that process has died, the peer
+    raises SystemExit before its next block rather than compute for nobody."""
+    results = []
+    try:
+        for block in blocks:
+            if caller is not None and os.getppid() != caller:
+                raise SystemExit
+            results.append(fn(block))
+    except Exception as exc:
+        return results, exc
+    return results, None
+
+
+def _with_peer(trials: int, work):
+    """work(), with the _map_blocks calls it makes shared by one forked peer process.
+
+    The peer starts from this process's state, its rng included, so it draws the
+    same populations and samples the same transforms; only block results cross the
+    pipe.  There is no peer with one worker, without os.fork, or when a fuzz check
+    of this many trials is one block.  The peer leaves only by os._exit, and as soon
+    as it finds the calling process gone (see _map_blocks).  On any exception here,
+    an interrupt included, the peer is killed first; it is reaped in every case, so
+    no process outlives the call.
+    """
+    if _WORKERS < 2 or not hasattr(os, "fork") or _map_blocks(None, trials) < 2:
+        return work()
+    # glibc serves a chunk above its mmap threshold from a fresh mapping, and freeing
+    # it raises the threshold to its size (mallopt(3)).  One untouched chunk of 16 bytes
+    # per trial, a whole population, freed at once, lets both processes take each check's
+    # population from the heap and reuse its pages for the next one, rather than fault
+    # in fresh mappings: at 4e5 trials that is about 3,000 fewer page faults in all.  It
+    # also makes a population too large to allocate fail here, before the fork.
+    np.empty(2 * trials)
+    caller = os.getpid()
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read_end)
+            _PEER.set((1, os.fdopen(write_end, "wb"), caller))
+            work()
+        finally:
+            os._exit(0)
+    os.close(write_end)
+    pipe = os.fdopen(read_end, "rb")
+    token = _PEER.set((0, pipe, pid))
+    try:
+        return work()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        _PEER.reset(token)
+        pipe.close()        # before the wait: a peer blocked on a full pipe gets EPIPE
+        os.waitpid(pid, 0)
 
 
 def _w_grid() -> np.ndarray:
@@ -432,22 +508,26 @@ def run_verification(trials: int = 100_000, seed: int = 0) -> VerificationReport
     if trials < 1:
         raise ValueError("trials must be positive")
     rng = np.random.default_rng(seed)
-    fuzz = (rng, trials)
-    checks = tuple(_guarded(name, check, *args) for name, check, args in (
-        ("gamma_parity", check_gamma_parity, ()),
-        ("k_recovery", check_k_recovery, ()),
-        ("determinant_law", check_determinant_law, ()),
-        ("swap_decomposition", check_swap_decomposition, ()),
-        ("inverse_law", check_inverse_law, ()),
-        ("parity_forcing", check_parity_forcing, ()),
-        ("antisymmetric_parity_violation", check_parity_violation_antisymmetric, ()),
-        ("composition_closure", check_composition_closure, ()),
-        ("interval_invariance", check_interval_invariance, fuzz),
-        ("light_cone_preservation", check_light_cone_preservation, fuzz),
-        ("causal_class_absoluteness", check_causal_class_absoluteness, fuzz),
-        ("measured_speed_bound", check_measured_speed_bound, fuzz),
-        ("divergence_witness", check_divergence_witness, ()),
+    grid = tuple(_guarded(name, check) for name, check in (
+        ("gamma_parity", check_gamma_parity),
+        ("k_recovery", check_k_recovery),
+        ("determinant_law", check_determinant_law),
+        ("swap_decomposition", check_swap_decomposition),
+        ("inverse_law", check_inverse_law),
+        ("parity_forcing", check_parity_forcing),
+        ("antisymmetric_parity_violation", check_parity_violation_antisymmetric),
+        ("composition_closure", check_composition_closure),
     ))
+
+    def fuzz():
+        return tuple(_guarded(name, check, rng, trials) for name, check in (
+            ("interval_invariance", check_interval_invariance),
+            ("light_cone_preservation", check_light_cone_preservation),
+            ("causal_class_absoluteness", check_causal_class_absoluteness),
+            ("measured_speed_bound", check_measured_speed_bound),
+        ))
+    checks = (*grid, *_with_peer(trials, fuzz),
+              _guarded("divergence_witness", check_divergence_witness))
     return VerificationReport(seed=seed, trials=trials, checks=checks)
 
 

@@ -35,9 +35,9 @@ def test_verify_folds_residuals_only_with_worst():
 
 
 def test_verify_slices_fuzz_populations_only_in_map_blocks():
-    # _map_blocks runs the blocks on its worker threads and returns their results
-    # in block order; a check that slices by _BLOCK itself would run serially, and
-    # one with its own pool could fold in another order.
+    # _map_blocks shares the blocks with the peer process and folds their results in
+    # block order; a check that slices by _BLOCK itself would run serially, and one
+    # with its own pool could fold in another order.
     path = next(p for p in SOURCES if p.name == "verify.py")
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     helper = next(node for node in tree.body
@@ -47,6 +47,37 @@ def test_verify_slices_fuzz_populations_only_in_map_blocks():
              and node.id == "_BLOCK" and isinstance(node.ctx, ast.Load)]
     outside = [node.lineno for node in reads if node not in inside]
     assert reads and outside == [], f"verify.py: _BLOCK read outside _map_blocks at {outside}"
+
+
+def _is_os_call(node, name):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == name and getattr(node.func.value, "id", None) == "os")
+
+
+def test_verify_forks_in_one_place_and_the_peer_leaves_by_os_exit():
+    # A peer that returned into its caller's stack would run the rest of the caller's
+    # program a second time; one that raised would print its traceback and run the
+    # atexit handlers.  Its whole branch is one try whose finally ends in os._exit.
+    path = next(p for p in SOURCES if p.name == "verify.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    forks = [node for node in ast.walk(tree) if _is_os_call(node, "fork")]
+    assert len(forks) == 1, f"verify.py: os.fork at lines {[n.lineno for n in forks]}"
+    parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    assign = parent[forks[0]]
+    assert isinstance(assign, ast.Assign) and len(assign.targets) == 1, "os.fork() not assigned"
+    pid = assign.targets[0].id
+    body = parent[assign].body
+    branch = body[body.index(assign) + 1]
+    assert (isinstance(branch, ast.If) and isinstance(branch.test, ast.Compare)
+            and getattr(branch.test.left, "id", None) == pid
+            and isinstance(branch.test.ops[0], ast.Eq)
+            and getattr(branch.test.comparators[0], "value", None) == 0), \
+        f"verify.py:{branch.lineno}: the statement after os.fork() is not `if {pid} == 0:`"
+    peer = branch.body
+    assert (len(peer) == 1 and isinstance(peer[0], ast.Try) and peer[0].finalbody
+            and isinstance(peer[0].finalbody[-1], ast.Expr)
+            and _is_os_call(peer[0].finalbody[-1].value, "_exit")), \
+        f"verify.py:{branch.lineno}: the peer's branch is not one try ending in finally: os._exit"
 
 
 def test_verify_reads_no_environment():

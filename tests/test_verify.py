@@ -3,9 +3,9 @@
 import math
 import os
 import platform
+import signal
 import subprocess
 import sys
-import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -259,109 +259,129 @@ def test_report_does_not_depend_on_the_worker_count(monkeypatch, seed):
     assert reports[0] == reports[1] == reports[2]
 
 
+def _shared(trials, fn):
+    """verify._map_blocks(fn, trials), shared with a forked peer where verify would fork one."""
+    return verify._with_peer(trials, lambda: verify._map_blocks(fn, trials))
+
+
+def _no_child_process_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_map_blocks_keeps_block_order_and_raises_the_earliest_failure(monkeypatch, workers):
+    """The earliest failing block's exception wins, whichever process raised it: with
+    a peer, the even blocks run in the calling process and the odd ones in the peer."""
     monkeypatch.setattr(verify, "_BLOCK", 1)
     monkeypatch.setattr(verify, "_WORKERS", workers)
-    assert verify._map_blocks(lambda block: block.start, 50) == list(range(50))
+    assert _shared(50, lambda block: block.start) == list(range(50))
 
-    def fails_late(block):
-        if block.start in (20, 30):
-            raise ValueError(block.start)
-        return block.start
+    for failing in ((20, 30), (20, 31), (21, 30), (21, 31)):
+        def fails_late(block):
+            if block.start in failing:
+                raise ValueError(block.start)
+            return block.start
 
-    for _ in range(20):
-        with pytest.raises(ValueError, match="^20$"):
-            verify._map_blocks(fails_late, 50)
+        with pytest.raises(ValueError, match=f"^{min(failing)}$"):
+            _shared(50, fails_late)
+    _no_child_process_left()
 
 
-def test_map_blocks_runs_each_block_once_under_contention(monkeypatch):
-    """More workers than cores and a short switch interval: a block claimed
-    twice or never would show in the calls or in the results."""
+def test_map_blocks_runs_each_block_once_across_the_two_processes(monkeypatch):
+    """The calling process runs the even blocks and the peer the odd ones: a block
+    run twice or never would show in the calls or in the results."""
     monkeypatch.setattr(verify, "_BLOCK", 1)
-    monkeypatch.setattr(verify, "_WORKERS", 8)
-    ran = []
+    monkeypatch.setattr(verify, "_WORKERS", 2)
+    parent, ran = os.getpid(), []
 
     def record(block):
         ran.append(block.start)
-        return block.start
+        return block.start, os.getpid()
 
-    threads = threading.active_count()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(20):
-            ran.clear()
-            assert verify._map_blocks(record, 300) == list(range(300))
-            assert sorted(ran) == list(range(300))
-    finally:
-        sys.setswitchinterval(interval)
-    assert threading.active_count() == threads
+    out = _shared(300, record)
+    assert [start for start, _ in out] == list(range(300))
+    assert ran == list(range(0, 300, 2))
+    assert {pid for _, pid in out[0::2]} == {parent}
+    peers = {pid for _, pid in out[1::2]}
+    assert len(peers) == 1 and parent not in peers
+    _no_child_process_left()
 
 
-def test_an_interrupt_between_blocks_stops_the_helpers(monkeypatch):
-    """A KeyboardInterrupt that lands outside fn, here in the third claim of the
-    calling thread, propagates, and the helper stops after its current block."""
-    class InterruptedLock:
-        def __init__(self):
-            self.lock, self.claims = threading.Lock(), 0
+def _recorded_waitpid(monkeypatch):
+    """Patch os.waitpid to keep the status of each process it reaps."""
+    real_waitpid, reaped = os.waitpid, []
 
-        def __enter__(self):
-            if threading.current_thread() is threading.main_thread():
-                self.claims += 1
-                if self.claims == 3:
-                    raise KeyboardInterrupt
-            self.lock.acquire()
+    def waitpid(pid, options):
+        got = real_waitpid(pid, options)
+        reaped.append(got[1])
+        return got
 
-        def __exit__(self, *exc):
-            self.lock.release()
+    monkeypatch.setattr(os, "waitpid", waitpid)
+    return reaped
 
-    ran = []
 
-    def slow(block):
-        ran.append(block.start)
-        time.sleep(0.001)
-
-    monkeypatch.setattr(verify, "Lock", InterruptedLock)
+def test_an_interrupt_in_the_parents_third_block_leaves_no_child_process(monkeypatch):
+    """A KeyboardInterrupt propagates at once: the calling process runs no block after
+    it, and the peer is killed, not waited for, and reaped."""
     monkeypatch.setattr(verify, "_BLOCK", 1)
     monkeypatch.setattr(verify, "_WORKERS", 2)
-    threads = set(threading.enumerate())
+    reaped = _recorded_waitpid(monkeypatch)
+    parent, ran = os.getpid(), []
+
+    def interrupted(block):
+        if os.getpid() == parent:
+            ran.append(block.start)
+            if len(ran) == 3:
+                raise KeyboardInterrupt
+        time.sleep(0.001)
+        return block.start
+
     with pytest.raises(KeyboardInterrupt):
-        verify._map_blocks(slow, 2000)
-    for helper in set(threading.enumerate()) - threads:
-        helper.join(1.0)
-        assert not helper.is_alive()
-    assert len(ran) < 100
+        _shared(2000, interrupted)
+    assert ran == [0, 2, 4]
+    assert len(reaped) == 1 and os.WIFSIGNALED(reaped[0])
+    assert os.WTERMSIG(reaped[0]) == signal.SIGKILL
+    _no_child_process_left()
 
 
-def test_helper_threads_are_fewer_than_blocks(monkeypatch):
-    """One worker or one block runs inline; 64 workers on 3 blocks start 2 helpers."""
-    started = []
+def test_a_peer_forks_only_for_two_workers_and_two_blocks(monkeypatch):
+    """One worker, one block or no os.fork runs every block in the calling process;
+    otherwise verify forks one peer per run, and the report does not change."""
+    real_fork, forks = os.fork, []
 
-    class CountedThread(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
+    def counted_fork():
+        forks.append(None)
+        return real_fork()
 
-    monkeypatch.setattr(verify, "Thread", CountedThread)
+    monkeypatch.setattr(os, "fork", counted_fork)
     monkeypatch.setattr(verify, "_BLOCK", 7)
-    for workers, trials, helpers in ((1, 38, 0), (2, 7, 0), (64, 17, 2)):
+    monkeypatch.setattr(verify, "_WORKERS", 1)
+    serial = {trials: run_verification(trials=trials, seed=3) for trials in (7, 17, 38)}
+    assert forks == []
+    for workers, trials, expected in ((2, 7, 0), (2, 8, 1), (2, 38, 1), (64, 17, 1)):
         monkeypatch.setattr(verify, "_WORKERS", workers)
-        started.clear()
-        assert verify._map_blocks(lambda block: block.start, trials) == list(range(0, trials, 7))
-        assert len(started) == helpers, (workers, trials)
+        forks.clear()
+        report = run_verification(trials=trials, seed=3)
+        assert len(forks) == expected, (workers, trials)
+        if trials in serial:
+            assert report == serial[trials]
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(verify, "_WORKERS", 2)
+    assert run_verification(trials=38, seed=3) == serial[38]
+    _no_child_process_left()
 
 
 def test_workers_are_capped_at_the_measured_count():
-    # Each helper adds its own malloc arena of slice temporaries; only 2 threads
-    # were measured against the RSS and bytes-per-trial bounds.
+    # Only 2 processes were measured against the RSS and bytes-per-trial bounds;
+    # each peer holds its own copy of the population.
     assert verify._WORKERS == (2 if verify._CPUS >= 2 else 1)
 
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_nan_in_the_last_block_fails_each_fuzz_check(monkeypatch, workers):
-    """The last of the four blocks is the only one of 5 trials; a NaN planted
-    there must survive the fold of the per-block results."""
+    """The last of the four blocks is the only one of 5 trials, and the peer runs it;
+    a NaN planted there must survive the pipe and the fold of the per-block results."""
     real_mat_vec = core.mat_vec
 
     def nan_in_last_block(m, c1, c2):
@@ -375,50 +395,96 @@ def test_nan_in_the_last_block_fails_each_fuzz_check(monkeypatch, workers):
     monkeypatch.setattr(verify, "_BLOCK", 7)
     monkeypatch.setattr(verify, "_WORKERS", workers)
     for check in FUZZ_CHECKS:
-        result = check(np.random.default_rng(0), 7 * 3 + 5)
+        trials = 7 * 3 + 5
+        result = verify._with_peer(trials, lambda: check(np.random.default_rng(0), trials))
         assert not result.passed, result
+    _no_child_process_left()
 
 
-def _fails_once_in_a_helper(monkeypatch, error):
-    """Patch core.mat_vec so that the first block a helper thread runs raises
-    error; the calling thread waits in its first block until that happened."""
-    real_mat_vec = core.mat_vec
-    raised = threading.Event()
+def _fails_once_in_the_peer(monkeypatch, error):
+    """Patch core.mat_vec so that the first block the peer runs raises error; the
+    calling process never raises."""
+    real_mat_vec, parent, raised = core.mat_vec, os.getpid(), []
 
     def mat_vec(m, c1, c2):
-        if isinstance(c2, np.ndarray):
-            if threading.current_thread() is threading.main_thread():
-                raised.wait(10)
-            elif not raised.is_set():
-                raised.set()
-                raise error
+        if isinstance(c2, np.ndarray) and os.getpid() != parent and not raised:
+            raised.append(error)
+            raise error
         return real_mat_vec(m, c1, c2)
 
     monkeypatch.setattr(core, "mat_vec", mat_vec)
     monkeypatch.setattr(verify, "_BLOCK", 1000)
     monkeypatch.setattr(verify, "_WORKERS", 2)
-    return raised
 
 
-def test_an_error_in_a_helper_thread_is_the_checks_named_fail(capsys, monkeypatch):
-    raised = _fails_once_in_a_helper(monkeypatch, ValueError("planted in a helper"))
+def test_an_error_in_the_peer_is_the_checks_named_fail(capsys, monkeypatch):
+    _fails_once_in_the_peer(monkeypatch, ValueError("planted in the peer"))
+    reaped = _recorded_waitpid(monkeypatch)
     code = cli.main(["verify", "--trials", "20000", "--seed", "0"])
     out, err = capsys.readouterr()
-    assert raised.is_set()
+    assert len(reaped) == 1 and os.WIFEXITED(reaped[0]) and os.WEXITSTATUS(reaped[0]) == 0
     assert code == 1
     assert err == ""
     assert ("interval_invariance: max_residual=nan tol=nan FAIL "
-            "raised ValueError: planted in a helper\n") in out
+            "raised ValueError: planted in the peer\n") in out
     assert out.endswith("1 of 13 identity checks failed\n")
+    _no_child_process_left()
 
 
-def test_memory_error_in_a_helper_thread_exits_2(capsys, monkeypatch):
-    raised = _fails_once_in_a_helper(monkeypatch, MemoryError("planted in a helper"))
+def test_memory_error_in_the_peer_exits_2(capsys, monkeypatch):
+    _fails_once_in_the_peer(monkeypatch, MemoryError("planted in the peer"))
     code = cli.main(["verify", "--trials", "20000", "--seed", "0"])
     out, err = capsys.readouterr()
-    assert raised.is_set()
     assert (code, out) == (2, "")
-    assert err == "error: out of memory: planted in a helper\n"
+    assert err == "error: out of memory: planted in the peer\n"
+    _no_child_process_left()
+
+
+def test_a_peer_out_of_step_is_stopped_and_the_report_unchanged(monkeypatch):
+    """A check that raises before its first block in the peer only skips a _map_blocks
+    call there, so the peer's next message answers the next check: the calling process
+    must not fold it into this one."""
+    monkeypatch.setattr(verify, "_BLOCK", 1000)
+    monkeypatch.setattr(verify, "_WORKERS", 1)
+    serial = run_verification(trials=20_000, seed=5)
+    real_sample, parent = verify._sample_matrices_and_metrics, os.getpid()
+
+    def sample(rng, per_branch):
+        pairs = real_sample(rng, per_branch)
+        if os.getpid() != parent:
+            raise ValueError("planted in the peer")
+        return pairs
+
+    monkeypatch.setattr(verify, "_sample_matrices_and_metrics", sample)
+    monkeypatch.setattr(verify, "_WORKERS", 2)
+    assert run_verification(trials=20_000, seed=5) == serial
+    _no_child_process_left()
+
+
+def test_a_peer_killed_in_its_first_block_leaves_the_report_unchanged(monkeypatch):
+    """The calling process kills the peer with SIGKILL while both run their first
+    block, and runs the peer's blocks itself: the report is the serial run's."""
+    monkeypatch.setattr(verify, "_BLOCK", 1000)
+    monkeypatch.setattr(verify, "_WORKERS", 1)
+    serial = run_verification(trials=20_000, seed=5)
+    real_fork, real_mat_vec, peers = os.fork, core.mat_vec, []
+
+    def recorded_fork():
+        pid = real_fork()
+        peers.append(pid)
+        return pid
+
+    def mat_vec(m, c1, c2):
+        if peers and peers[-1] > 0:
+            os.kill(peers.pop(), signal.SIGKILL)
+        return real_mat_vec(m, c1, c2)
+
+    monkeypatch.setattr(os, "fork", recorded_fork)
+    monkeypatch.setattr(core, "mat_vec", mat_vec)
+    monkeypatch.setattr(verify, "_WORKERS", 2)
+    assert run_verification(trials=20_000, seed=5) == serial
+    assert peers == []
+    _no_child_process_left()
 
 
 @pytest.mark.parametrize("seed", [0, 7, 1000])
@@ -450,7 +516,6 @@ def test_light_cone_population_matches_its_choice_reference(monkeypatch, seed):
         return real_mat_vec(m, b1, b2)
 
     monkeypatch.setattr(core, "mat_vec", recording_mat_vec)
-    monkeypatch.setattr(verify, "_WORKERS", 1)
     checked = np.random.default_rng(seed)
     verify.check_light_cone_preservation(checked, trials)
     first_transform = seen[::transforms]
@@ -487,6 +552,101 @@ def _verify_minor_faults(trials: int) -> int:
     subprocess.run([sys.executable, "-m", "bilorentz.cli", "verify", "--trials", str(trials)],
                    env=env, capture_output=True, check=True, timeout=120)
     return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+
+
+def test_verify_with_warnings_as_errors_prints_the_serial_report(monkeypatch):
+    """A fresh verify process, which forks its peer on 2 or more CPUs: an unclosed
+    pipe end would print a ResourceWarning to stderr when it is collected."""
+    monkeypatch.setattr(verify, "_WORKERS", 1)
+    serial = format_report(run_verification(trials=100_000, seed=0)) + "\n"
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run([sys.executable, "-W", "error", "-m", "bilorentz.cli", "verify",
+                           "--trials", "100000"], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == serial
+
+
+#: Runs the bilorentz CLI on its arguments in a fresh process whose fuzz checks
+#: would share their blocks with a peer, whatever its CPU count.
+_TWO_WORKERS = """\
+import sys
+from bilorentz import cli, core, verify
+verify._WORKERS = 2
+{}
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or sys.platform != "linux",
+                    reason="needs os.fork and an enforced RLIMIT_AS")
+def test_too_many_trials_for_a_peer_fail_at_once_on_the_population():
+    """10**13 trials fail on their first population-sized allocation, as they do
+    without a peer, and not after listing 3e8 blocks.  The child's address space is
+    capped at 1 GiB more than it has after import, so that a regression would fail
+    on a bare MemoryError rather than fill the machine."""
+    limit = ("import resource\n"
+             "vm = int(open('/proc/self/status').read().split('VmSize:')[1].split()[0])\n"
+             "resource.setrlimit(resource.RLIMIT_AS, ((vm << 10) + (1 << 30),) * 2)")
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
+    start = time.monotonic()
+    done = subprocess.run([sys.executable, "-c", _TWO_WORKERS.format(limit), "verify",
+                           "--trials", "10000000000000"], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert time.monotonic() - start < 10
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: out of memory: Unable to allocate 146. TiB")
+    assert done.stderr.count("\n") == 1
+
+
+def _state(pid: int) -> str | None:
+    """The state letter of process pid, or None once it is gone."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return None
+    return stat.rsplit(")", 1)[1].split()[0]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or not Path("/proc/self/stat").exists(),
+                    reason="needs os.fork and /proc")
+def test_a_peer_whose_caller_is_killed_leaves_before_its_next_block():
+    """SIGKILL gives the calling process no chance to stop its peer; the peer finds
+    its parent gone before its next block and exits.  Each of its blocks here takes
+    about 0.2 s and its share of the first check about 20 s."""
+    slow = ("import os, time\n"
+            "real_fork, real_mat_vec = os.fork, core.mat_vec\n"
+            "def fork():\n"
+            "    pid = real_fork()\n"
+            "    if pid:\n"
+            "        print(pid, flush=True)\n"
+            "    return pid\n"
+            "def mat_vec(m, c1, c2):\n"
+            "    if not isinstance(c2, float):\n"
+            "        time.sleep(0.01)\n"
+            "    return real_mat_vec(m, c1, c2)\n"
+            "os.fork, core.mat_vec, verify._BLOCK = fork, mat_vec, 1000")
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
+    caller = subprocess.Popen([sys.executable, "-c", _TWO_WORKERS.format(slow), "verify",
+                               "--trials", "200000"], env=env, stdout=subprocess.PIPE,
+                              text=True)
+    peer = None
+    try:
+        peer = int(caller.stdout.readline())
+        time.sleep(0.3)
+        assert _state(peer) not in (None, "Z")
+        caller.kill()
+        caller.wait(30)
+        deadline = time.monotonic() + 10
+        while _state(peer) not in (None, "Z") and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert _state(peer) in (None, "Z"), "the peer outlived its killed caller"
+    finally:
+        caller.kill()
+        caller.wait(30)
+        caller.stdout.close()
+        if peer is not None and _state(peer) not in (None, "Z"):
+            os.kill(peer, signal.SIGKILL)
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="counts glibc malloc's faults")

@@ -8,8 +8,9 @@ Every single operator site of core.py becomes one mutant:
 
 Each mutant is written into a temporary copy of ``src/`` (the working tree is
 never touched) and run as ``python -m bilorentz.cli verify --trials 100000
---seed 0`` in a fresh process.  That is four blocks per fuzz check, so the
-run goes through the threaded fold of ``verify._map_blocks``.  A mutant is
+--seed 0`` in a fresh process.  That is four blocks per fuzz check, so on 2
+or more CPUs the run forks its peer process and goes through the two-process
+fold of ``verify._map_blocks``.  A mutant is
 killed when that run exits non-zero.  The script prints the count per exit
 code, killed/total, and then every surviving site as
 ``line function: before -> after``.
