@@ -3,9 +3,20 @@
 Exit codes: 0 success, 1 identity verification failure, 2 input error,
 3 degenerate rendering (empty window / out-of-window event).  Every error
 path prints a single ``error: ...`` line to stderr.
+
+``run()`` is the entry point of a ``bilorentz`` process: the installed script
+and ``python -m bilorentz.cli``.  ``main()`` returns the exit code, for callers
+that go on afterwards.  ``run()`` sets OPENBLAS_NUM_THREADS to 1, since no
+command calls BLAS, so that numpy's import in ``verify`` starts no thread and
+the peer is forked from a single-threaded process.  Once the output is flushed
+it ends the process by ``os._exit``: the interpreter's teardown would only free
+memory the process is about to give back.  It leaves by ``sys.exit`` instead
+when a flush fails, so that the interpreter reports the failure as before, and
+under a tracer or profiler, so that it can report.
 """
 
 import argparse
+import os
 import sys
 
 from .core import (
@@ -188,5 +199,21 @@ def main(argv=None) -> int:
         return EXIT_INPUT_ERROR
 
 
+def run():
+    """Run main() on sys.argv and end the process with its exit code (see the
+    module docstring)."""
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"     # before verify imports numpy
+    code = main()
+    if sys.gettrace() is None and sys.getprofile() is None:
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        except Exception:
+            pass        # the teardown flushes again and reports the failure as before
+        else:
+            os._exit(code)
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

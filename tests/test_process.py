@@ -1,0 +1,151 @@
+"""Whole ``bilorentz`` processes, which end through ``cli.run()``.
+
+``run()`` ends the process by ``os._exit`` once its output is flushed, so the
+in-process tests of ``cli.main()`` cannot see what it does.  Here real
+processes must print what ``main()`` prints and exit with its code, with
+stdout buffered and unbuffered; report a closed stdout as the interpreter
+does; leave a profiler its report; and fork ``verify``'s peer from a single
+thread.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from bilorentz import build_fig2_scenario, cli, core, scenario_to_dict
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+GOLDEN = Path(__file__).parent / "golden"
+
+#: Defines make_l with its matrix negated, the sign flip that verify must catch.
+_PLANT = """\
+def make_l(tau, k, w, real=core.make_l):
+    t = real(tau, k, w)
+    m = tuple(tuple(-x for x in row) for row in t.m)
+    return core.Transform(m, t.branch, t.tau, t.k, t.vel)
+"""
+
+#: Runs cli.run() on its arguments with the planted make_l.
+_PLANTED_RUN = "from bilorentz import cli, core\n" + _PLANT + "core.make_l = make_l\ncli.run()\n"
+
+#: One command for each exit code; verify is planted to fail, and forks its peer
+#: on 2 or more CPUs (70,000 trials are 3 blocks).
+CORPUS = {
+    "transform": (0, ["transform", "--branch", "l", "--tau", "-1", "--k", "1", "--vel", "2",
+                      "--vec", "2,1"]),
+    "classify": (0, ["classify", "--vec=2,1"]),
+    "compose": (0, ["compose", "lambda,1,1,0.5", "lambda,1,1,0.5"]),
+    "diagram": (0, ["diagram", "--builtin", "fig2", "--out", "fig2"]),
+    "planted_verify": (1, ["verify", "--trials", "70000", "--seed", "3"]),
+    "bad_scenario": (2, ["diagram", "--scenario", "bad.json", "--out", "bad"]),
+    "empty_window": (3, ["diagram", "--scenario", "empty.json", "--out", "empty"]),
+}
+
+
+def _env(**extra):
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1", **extra}
+
+
+def _write_scenarios(folder: Path) -> Path:
+    folder.mkdir()
+    bad = scenario_to_dict(build_fig2_scenario())
+    bad["surprise"] = True
+    empty = scenario_to_dict(build_fig2_scenario())
+    empty["window"] = {"min": [50, -40], "max": [60, -20]}
+    for name, data in (("bad.json", bad), ("empty.json", empty)):
+        (folder / name).write_text(json.dumps(data), encoding="utf-8")
+    return folder
+
+
+@pytest.mark.parametrize("case", CORPUS)
+def test_a_process_prints_and_exits_as_main_does(case, tmp_path, capsys, monkeypatch):
+    code, argv = CORPUS[case]
+    monkeypatch.chdir(_write_scenarios(tmp_path / "main"))
+    if case == "planted_verify":
+        namespace = {"core": core}
+        exec(_PLANT, namespace)
+        monkeypatch.setattr(core, "make_l", namespace["make_l"])
+        command = [sys.executable, "-c", _PLANTED_RUN, *argv]
+    else:
+        command = [sys.executable, "-m", "bilorentz.cli", *argv]
+    expected = (cli.main(argv), *capsys.readouterr())
+    assert expected[0] == code
+    monkeypatch.undo()
+    folders = [tmp_path / "main"]
+    for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
+        folders.append(_write_scenarios(tmp_path / f"process{len(folders)}"))
+        done = subprocess.run(command, cwd=folders[-1], env=_env(**unbuffered),
+                              capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == expected, unbuffered
+    if case == "diagram":
+        for folder in folders:
+            for side in ("original", "transformed"):
+                assert ((folder / f"fig2-{side}.svg").read_bytes()
+                        == (GOLDEN / f"fig2-{side}.svg").read_bytes())
+
+
+@pytest.mark.parametrize("unbuffered, code, first, last", [
+    ({}, 120, "Exception ignored in: <_io.TextIOWrapper name='<stdout>'",
+     "BrokenPipeError: [Errno 32] Broken pipe"),
+    ({"PYTHONUNBUFFERED": "1"}, 2, "error: [Errno 32] Broken pipe",
+     "error: [Errno 32] Broken pipe"),
+], ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_is_reported_as_the_interpreter_reports_it(unbuffered, code, first,
+                                                                  last):
+    """stdout's reader has gone before the process starts.  Buffered, the failed
+    flush in run() leaves the output in the buffer, and the teardown's own flush
+    reports it; unbuffered, print itself fails, and main() reports an input error."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "bilorentz.cli", "classify", "--vec=2,1"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=_env(**unbuffered),
+                              text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    lines = done.stderr.splitlines()
+    assert done.returncode == code
+    assert lines[0].startswith(first) and lines[-1] == last and len(lines) <= 2, done.stderr
+
+
+def test_a_profiled_process_prints_its_stats():
+    """A profiler reports at the interpreter's exit, so run() leaves by sys.exit."""
+    done = subprocess.run([sys.executable, "-m", "cProfile", "-m", "bilorentz.cli", "classify",
+                           "--vec=2,1"], env=_env(), capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith("coord_speed: 0.5\n")
+    assert "function calls" in done.stdout and "Ordered by" in done.stdout
+
+
+#: Runs cli.run() on its arguments with verify's peer forced on, and prints to stderr
+#: how many threads the process has when it forks.
+_COUNT_THREADS_AT_FORK = """\
+import os, sys
+from bilorentz import cli
+real_fork, real_main = os.fork, cli.main
+def fork():
+    print("threads at fork:", len(os.listdir("/proc/self/task")), file=sys.stderr)
+    return real_fork()
+def main():
+    from bilorentz import verify
+    verify._WORKERS = 2
+    return real_main()
+os.fork, cli.main = fork, main
+cli.run()
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or not Path("/proc/self/task").is_dir(),
+                    reason="needs os.fork and /proc")
+def test_verify_forks_its_peer_from_a_single_thread():
+    """run() sets OPENBLAS_NUM_THREADS to 1 before verify imports numpy, so OpenBLAS
+    starts no thread; a value the process inherits does not count."""
+    done = subprocess.run([sys.executable, "-c", _COUNT_THREADS_AT_FORK, "verify",
+                           "--trials", "70000"], env=_env(OPENBLAS_NUM_THREADS="2"),
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "threads at fork: 1\n")

@@ -80,6 +80,37 @@ def test_verify_forks_in_one_place_and_the_peer_leaves_by_os_exit():
         f"verify.py:{branch.lineno}: the peer's branch is not one try ending in finally: os._exit"
 
 
+def _ends_the_process(node):
+    if _is_os_call(node, "_exit") or _is_os_call(node, "abort"):
+        return True
+    if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "exit" \
+            and getattr(node.func.value, "id", None) == "sys":
+        return True
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("exit", "quit"):
+        return True
+    return isinstance(node, ast.Raise) and node.exc is not None and "SystemExit" in {
+        getattr(n, "id", None) for n in ast.walk(node.exc)}
+
+
+def test_only_cli_run_ends_the_process_or_writes_the_environment():
+    # main() returns its exit code, so that a caller in its own process goes on after
+    # it; run() alone ends the process, by os._exit once the output is flushed, and
+    # alone sets OPENBLAS_NUM_THREADS, before verify imports numpy.
+    path = next(p for p in SOURCES if p.name == "cli.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    run = next(node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "run")
+    inside = set(ast.walk(run))
+    exits = [node for node in ast.walk(tree) if _ends_the_process(node)]
+    environ = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+               and node.attr in ("environ", "environb", "putenv", "unsetenv")]
+    assert any(_is_os_call(node, "_exit") for node in inside), "run() has no os._exit"
+    assert environ and set(environ) <= inside, \
+        f"cli.py: the environment outside run() at lines {[n.lineno for n in environ]}"
+    outside = [node.lineno for node in exits if node not in inside]
+    assert outside == [], f"cli.py: ends the process outside run() at lines {outside}"
+
+
 def test_verify_reads_no_environment():
     # The worker count comes from the CPU affinity, not from a variable a run inherits.
     path = next(p for p in SOURCES if p.name == "verify.py")
