@@ -5,20 +5,22 @@ fuzz population; a run passes only when every residual stays within its
 tolerance.  Grid checks are deterministic; fuzz checks are reproducible
 from (seed, trials).
 
-A fuzz check draws its whole population at once from the one rng, then runs
-every sampled transform over it in slices of ``_BLOCK`` trials, so that the
+A fuzz check never holds its whole population.  It moves the rng past the
+draws of the population (see ``_skipped``) and samples its transforms after
+them; then it runs every sampled transform over the population in slices of
+``_BLOCK`` trials, each slice drawing its own inputs from a copy of the rng
+placed where they start.  So no array grows with the trial count, the
 per-slice temporaries stay in cache, and the memory a slice frees stays in
 the process for the next one.  On 2 or more CPUs, ``run_verification`` forks
 one peer process just before the first fuzz check (see ``_with_peer``).  The
-peer starts from the same rng state, so it draws the same populations and
-samples the same transforms; each process runs every other slice, and only
-the slices' results cross a pipe (see ``_map_blocks``).  Two processes share
-no GIL, so no ufunc call of one waits on the other.  Each slice reduces to
-its own worst residual or mismatch count, and the check folds those in slice
-order.  Every operation is elementwise and the only reductions are max and
-count, so results depend neither on the block size nor on whether a peer ran.
-Every max is taken by ``_worst``, which keeps NaN, so a NaN residual fails
-its check.
+peer starts from the same rng state, so it samples the same transforms; each
+process draws and runs every other slice, and only the slices' results cross
+a pipe (see ``_map_blocks``).  Two processes share no GIL, so no ufunc call
+of one waits on the other.  Each slice reduces to its own worst residual or
+mismatch count, and the check folds those in slice order.  Every operation is
+elementwise and the only reductions are max and count, so results depend
+neither on the block size nor on whether a peer ran.  Every max is taken by
+``_worst``, which keeps NaN, so a NaN residual fails its check.
 """
 
 from __future__ import annotations
@@ -70,17 +72,20 @@ _K_VALUES = (-1.0, -0.5, 0.5, 1.0)
 #: and 354 ms at 2**14, 301 and 324 ms at 2**15 and 362 and 371 ms at 2**16.  The
 #: calling process peaked at 51.9 MB RSS at 2**13 and 2**14, 52.7 MB at 2**15 and
 #: 55.0 MB at 2**16.  At 1e5 trials 2**14 and 2**15 both took 43 ms, at 37.3 and
-#: 39.0 MB, so 2**14 would save 1.7 MB there and cost 6-9% at 1e6.
+#: 39.0 MB, so 2**14 would save 1.7 MB there and cost 6-9% at 1e6.  Those runs held
+#: whole populations; now that each slice draws its own inputs, a run of any size
+#: peaks at about 38 MB.
 _BLOCK = 1 << 15
 
 #: Processes that share a fuzz check's slices, the calling one among them: one per
 #: CPU this process may run on, but at most 2, the count that was measured.  Each
-#: holds its own copy of the populations, 16 bytes per trial, and its own slice
-#: temporaries: at 1e6 trials the calling process peaked at 52.7 MB RSS and the peer
-#: at 48.3 MB, where one process running the slices on two threads peaked at 55.1 MB.
-#: In the rounds above two processes ran the four checks 1.66-1.69x faster than one
-#: (500 and 548 ms); two threads, which trade the GIL on every ufunc call, took 420
-#: and 432 ms.  The affinity mask also ignores a cgroup's CPU quota.
+#: holds only its own slice inputs and temporaries, about 2.5 MB: the two peak at
+#: about 38 MB RSS at 1e5, 1e6 and 4e6 trials alike.  While each held a copy of the
+#: populations, 16 bytes per trial, the calling process peaked at 52.7 MB at 1e6
+#: trials and the peer at 48.3 MB, and one process running the slices on two threads
+#: at 55.1 MB.  In the rounds above two processes ran the four checks 1.66-1.69x
+#: faster than one (500 and 548 ms); two threads, which trade the GIL on every ufunc
+#: call, took 420 and 432 ms.  The affinity mask also ignores a cgroup's CPU quota.
 _CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
          else os.cpu_count() or 1)
 _WORKERS = 2 if _CPUS >= 2 else 1
@@ -93,9 +98,9 @@ _PEER = ContextVar("_PEER", default=None)
 
 
 def _map_blocks(fn, trials: int) -> list | int:
-    """[fn(block) for each consecutive slice of at most _BLOCK trials covering
-    range(trials)], or with fn None the number of those slices, counted without
-    making them.  While a peer process shares the fuzz checks (see _with_peer),
+    """[fn(block) for each consecutive slice of _BLOCK trials covering range(trials),
+    the last one ending at trials], or with fn None the number of those slices,
+    counted without making them.  While a peer process shares the fuzz checks (see _with_peer),
     each process runs the blocks i with i % 2 == its rank, and the peer sends its
     results over the pipe for the caller to fold in block order.  Otherwise, or
     with one block, the map runs inline.
@@ -116,11 +121,9 @@ def _map_blocks(fn, trials: int) -> list | int:
     # free() gives the free top of the heap back to the kernel once it passes the
     # 128 KiB trim threshold, so the next block faults the same pages in again.  One
     # untouched 2 MiB chunk, freed at once, keeps freed blocks in the process from the
-    # first block on.  _with_peer frees a population-sized chunk for the same reason,
-    # but only a chunk of at most 32 MiB moves the thresholds, so this one is still
-    # needed without a peer and above about 2e6 trials.
+    # first block on.
     np.empty(8 * _BLOCK)
-    blocks = [slice(i, i + _BLOCK) for i in starts]
+    blocks = list(map(slice, starts, [*starts[1:], trials]))
     peer = _PEER.get()
     if peer is None or len(blocks) < 2:
         return [fn(block) for block in blocks]
@@ -175,8 +178,8 @@ def _run_share(fn, blocks, caller=None) -> tuple:
 def _with_peer(trials: int, work):
     """work(), with the _map_blocks calls it makes shared by one forked peer process.
 
-    The peer starts from this process's state, its rng included, so it draws the
-    same populations and samples the same transforms; only block results cross the
+    The peer starts from this process's state, its rng included, so it samples the
+    same transforms and draws the same slice inputs; only block results cross the
     pipe.  There is no peer with one worker, without os.fork, or when a fuzz check
     of this many trials is one block.  The peer leaves only by os._exit, and as soon
     as it finds the calling process gone (see _map_blocks).  On any exception here,
@@ -185,13 +188,6 @@ def _with_peer(trials: int, work):
     """
     if _WORKERS < 2 or not hasattr(os, "fork") or _map_blocks(None, trials) < 2:
         return work()
-    # glibc serves a chunk above its mmap threshold from a fresh mapping, and freeing
-    # it raises the threshold to its size (mallopt(3)).  One untouched chunk of 16 bytes
-    # per trial, a whole population, freed at once, lets both processes take each check's
-    # population from the heap and reuse its pages for the next one, rather than fault
-    # in fresh mappings: at 4e5 trials that is about 3,000 fewer page faults in all.  It
-    # also makes a population too large to allocate fail here, before the fork.
-    np.empty(2 * trials)
     caller = os.getpid()
     read_end, write_end = os.pipe()
     pid = os.fork()
@@ -275,6 +271,24 @@ def _gap(a: core.Mat, b: core.Mat, sign: int = 1) -> float:
     (b00, b01), (b10, b11) = b
     return _worst((abs(a00 - sign * b00), abs(a01 - sign * b01),
                    abs(a10 - sign * b10), abs(a11 - sign * b11)))
+
+
+def _skipped(rng: np.random.Generator, outputs: int):
+    """Move rng on by outputs 64-bit outputs, the draws of a population it does not
+    draw, and return at: at(i) is a Generator whose next draws are the ones rng had
+    after its next i outputs.  uniform takes one output per value, and integers(0, 2)
+    one 32-bit half; at reuses one Generator, placed anew by each call.  rng's bit
+    generator must be a PCG64, as default_rng's is; advance drops a half that an
+    earlier 32-bit draw left buffered."""
+    start = rng.bit_generator.state
+    rng.bit_generator.advance(outputs)
+    gen = np.random.Generator(np.random.PCG64())
+
+    def at(i: int) -> np.random.Generator:
+        gen.bit_generator.state = start
+        gen.bit_generator.advance(i)
+        return gen
+    return at
 
 
 def _minus_signs(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -398,11 +412,12 @@ def check_interval_invariance(rng: np.random.Generator, trials: int) -> CheckRes
     The discrepancy is measured relative to max(|before|, |after|, 1); the
     unit floor keeps near-lightlike displacements from dividing by zero.
     """
-    c1, c2 = rng.uniform(-1.0, 1.0, size=(2, trials))
+    at = _skipped(rng, 2 * trials)      # c1 = uniform(-1, 1, trials), then c2 likewise
     pairs = _sample_matrices_and_metrics(rng, 10)
 
     def block_gap(block):
-        b1, b2 = c1[block], c2[block]
+        b1, b2 = (at(i).uniform(-1.0, 1.0, size=block.stop - block.start)
+                  for i in (block.start, trials + block.start))
         s_before = core.quad_form(STANDARD_METRIC.g, b1, b2)
         floor = np.maximum(1.0, np.abs(s_before))
 
@@ -418,16 +433,20 @@ def check_light_cone_preservation(rng: np.random.Generator, trials: int) -> Chec
     """Lightlike displacements stay lightlike under every family transform.
 
     The displacement is (c1, c2) = (s1*r, s2*s1*r), with r uniform on [0.01, 1)
-    and fair random signs s1, s2.  The signs are kept as masks and applied per
-    block, so the population takes 10 bytes per trial.
+    and fair random signs s1, s2, drawn as r, then every s1, then every s2.  The
+    signs take one 32-bit half each, so with an odd trial count the s2 of a block
+    can start on the second half of an output: the draw before it is dropped.
     """
-    r = rng.uniform(0.01, 1.0, size=trials)
-    minus1, minus2 = _minus_signs(rng, trials), _minus_signs(rng, trials)
+    at = _skipped(rng, 2 * trials)      # trials outputs for r, 2 * trials halves for signs
     matrices = [t.m for t in _sample_family_transforms(rng, 5)]
 
     def block_gap(block):
-        c1 = np.where(minus1[block], -r[block], r[block])
-        c2 = np.where(minus2[block], -c1, c1)
+        n = block.stop - block.start
+        r = at(block.start).uniform(0.01, 1.0, size=n)
+        minus1, minus2 = (_minus_signs(at(trials + h // 2), h % 2 + n)[h % 2:]
+                          for h in (block.start, trials + block.start))
+        c1 = np.where(minus1, -r, r)
+        c2 = np.where(minus2, -c1, c1)
         return _worst(np.abs(np.abs(e1) - np.abs(e2))
                       for e1, e2 in (core.mat_vec(m, c1, c2) for m in matrices))
     return CheckResult("light_cone_preservation", _worst(_map_blocks(block_gap, trials)), 1e-12)
@@ -435,11 +454,12 @@ def check_light_cone_preservation(rng: np.random.Generator, trials: int) -> Chec
 
 def check_causal_class_absoluteness(rng: np.random.Generator, trials: int) -> CheckResult:
     """The timelike/lightlike/spacelike class never changes across frames."""
-    c1, c2 = rng.uniform(-1.0, 1.0, size=(2, trials))
+    at = _skipped(rng, 2 * trials)      # c1 = uniform(-1, 1, trials), then c2 likewise
     pairs = _sample_matrices_and_metrics(rng, 5)
 
     def block_mismatches(block):
-        b1, b2 = c1[block], c2[block]
+        b1, b2 = (at(i).uniform(-1.0, 1.0, size=block.stop - block.start)
+                  for i in (block.start, trials + block.start))
         cls_before = core.causal_sign(core.quad_form(STANDARD_METRIC.g, b1, b2),
                                       core.form_size(STANDARD_METRIC.g, b1, b2))
         mismatches = 0
@@ -458,11 +478,12 @@ def check_measured_speed_bound(rng: np.random.Generator, trials: int) -> CheckRe
     The worldline direction (1, v) maps to (e1, e2); the swapped readout of
     measured_displacement reads e2 as c*dt and e1 as dx, so its speed is |e1/e2|.
     """
-    v = rng.uniform(-0.99, 0.99, size=trials)
+    at = _skipped(rng, trials)          # v = rng.uniform(-0.99, 0.99, size=trials)
     matrices = [core.make_l(-1, 1.0, _sample_w(rng)).m for _ in range(5)]
 
     def block_speed(block):
-        return _worst(np.abs(np.divide(*core.mat_vec(m, 1.0, v[block]))) for m in matrices)
+        v = at(block.start).uniform(-0.99, 0.99, size=block.stop - block.start)
+        return _worst(np.abs(np.divide(*core.mat_vec(m, 1.0, v))) for m in matrices)
     return CheckResult("measured_speed_bound", _worst(_map_blocks(block_speed, trials)),
                        1.0 - 1e-9)
 
@@ -489,7 +510,7 @@ def check_divergence_witness() -> CheckResult:
 def _guarded(name: str, check, *args) -> CheckResult:
     """check(*args), or a FAIL with residual NaN naming the exception it raised:
     a broken build whose check raises is a failed identity, not bad input.
-    MemoryError propagates: a population too large to allocate is bad input."""
+    MemoryError propagates: running out of memory is not a failed identity."""
     try:
         return check(*args)
     except MemoryError:
@@ -507,6 +528,11 @@ def run_verification(trials: int = 100_000, seed: int = 0) -> VerificationReport
     """
     if trials < 1:
         raise ValueError("trials must be positive")
+    # The refusal of a trial count too large to run: one untouched chunk of 16 bytes per
+    # trial, the population the fuzz checks no longer draw, fails here at once, with or
+    # without a peer, and not after the grid checks and a walk through its blocks.  It
+    # is no malloc warm-up: with or without it, runs take the same faults and peak RSS.
+    np.empty(2 * trials)
     rng = np.random.default_rng(seed)
     grid = tuple(_guarded(name, check) for name, check in (
         ("gamma_parity", check_gamma_parity),

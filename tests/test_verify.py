@@ -376,7 +376,7 @@ def test_a_peer_forks_only_for_two_workers_and_two_blocks(monkeypatch):
 
 def test_workers_are_capped_at_the_measured_count():
     # Only 2 processes were measured against the RSS and bytes-per-trial bounds;
-    # each peer holds its own copy of the population.
+    # each peer holds its own block inputs and temporaries.
     assert verify._WORKERS == (2 if verify._CPUS >= 2 else 1)
 
 
@@ -523,13 +523,76 @@ def test_light_cone_population_matches_its_choice_reference(monkeypatch, seed):
     first_transform = seen[::transforms]
     assert np.concatenate([b1 for b1, _ in first_transform]).tobytes() == c1.tobytes()
     assert np.concatenate([b2 for _, b2 in first_transform]).tobytes() == c2.tobytes()
-    assert checked.bit_generator.state == rng.bit_generator.state
+    _assert_same_next_draws(checked, rng)
+
+
+def _assert_same_next_draws(ours, reference):
+    """ours draws on as reference does.  A check moves its rng past the population with
+    bit_generator.advance, which zeroes the state's "uinteger", the 32-bit half that a
+    drawn population of signs consumed last and left there; with has_uint32 0 on both
+    sides, that half is never drawn again."""
+    mine, theirs = ours.bit_generator.state, reference.bit_generator.state
+    assert (mine["state"], mine["has_uint32"]) == (theirs["state"], theirs["has_uint32"])
+    assert ours.integers(0, 2, size=3).tolist() == reference.integers(0, 2, size=3).tolist()
+    assert ours.random(3).tolist() == reference.random(3).tolist()
+
+
+def _population_inputs(check, rng, trials):
+    """The (c1, c2) that check's first sampled transform gets, drawn as one population
+    the way the check drew it before its slices drew their own, and how many
+    transforms it samples after it."""
+    if check is verify.check_light_cone_preservation:
+        c1 = rng.uniform(0.01, 1.0, size=trials) * rng.choice([-1.0, 1.0], size=trials)
+        return (c1, c1 * rng.choice([-1.0, 1.0], size=trials)), \
+            len(verify._sample_family_transforms(rng, 5))
+    if check is verify.check_measured_speed_bound:
+        v = rng.uniform(-0.99, 0.99, size=trials)
+        for _ in range(5):
+            verify._sample_w(rng)
+        return (np.ones(trials), v), 5
+    c1, c2 = rng.uniform(-1.0, 1.0, size=(2, trials))
+    per_branch = 10 if check is verify.check_interval_invariance else 5
+    return (c1, c2), len(verify._sample_matrices_and_metrics(rng, per_branch))
+
+
+@pytest.mark.parametrize("seed", [0, 5, 1000])
+@pytest.mark.parametrize("trials", [1, 7, 32_768, 32_769, 100_001])
+def test_block_inputs_are_the_whole_population_draws(monkeypatch, trials, seed):
+    """Each block draws its own inputs from a copy of the rng placed where they start;
+    they must be the slices of the population the check used to draw, and the rng
+    must end where that population left it.  An odd trial count starts the second
+    light-cone sign stream on the high half of an output."""
+    seen = []
+    real_mat_vec = core.mat_vec
+
+    def recording_mat_vec(m, b1, b2):
+        seen.append((b1, b2))
+        return real_mat_vec(m, b1, b2)
+
+    monkeypatch.setattr(core, "mat_vec", recording_mat_vec)
+    for check in FUZZ_CHECKS:
+        seen.clear()
+        reference = np.random.default_rng(seed)
+        population, transforms = _population_inputs(check, reference, trials)
+        checked = np.random.default_rng(seed)
+        assert check(checked, trials).passed, check.__name__
+        first_transform = seen[::transforms]
+        for i, column in enumerate(population):
+            drawn = np.concatenate([np.broadcast_to(inputs[i], np.shape(inputs[1]))
+                                    for inputs in first_transform])
+            assert drawn.tobytes() == column.tobytes(), check.__name__
+        _assert_same_next_draws(checked, reference)
+    monkeypatch.setattr(core, "mat_vec", real_mat_vec)
+    serial = run_verification(trials=trials, seed=seed)
+    monkeypatch.setattr(verify, "_WORKERS", 2)
+    assert run_verification(trials=trials, seed=seed) == serial
 
 
 def test_verify_memory_is_bounded_per_trial():
     """numpy reports its buffers to tracemalloc, so this is a byte count, not
-    a timing: the fuzz checks hold their drawn inputs plus one block of
-    temporaries, not whole-population temporaries."""
+    a timing: the untouched 16-byte-per-trial chunk that refuses an impossible
+    trial count, plus one block of inputs and temporaries, not whole-population
+    inputs or temporaries."""
     trials = 400_000
     was_tracing = tracemalloc.is_tracing()
     if not was_tracing:
@@ -545,15 +608,26 @@ def test_verify_memory_is_bounded_per_trial():
     assert (peak - before) / trials < 40
 
 
-def _verify_minor_faults(trials: int) -> int:
-    """Minor page faults of a fresh ``verify --trials <trials>`` process."""
-    import resource  # Unix only; its one caller is skipped off glibc
+#: Runs ``verify --trials <argv[1]>`` as its one child and prints the child's
+#: RUSAGE_CHILDREN ru_maxrss (KiB on Linux) and ru_minflt, its peer's included.  A
+#: fresh process per run: the ru_maxrss a process reads for its children is the
+#: largest of every child it has ever reaped.
+_USAGE = """\
+import resource, subprocess, sys
+subprocess.run([sys.executable, "-m", "bilorentz.cli", "verify", "--trials", sys.argv[1]],
+               stdout=subprocess.DEVNULL, check=True)
+usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+print(usage.ru_maxrss, usage.ru_minflt)
+"""
 
+
+def _verify_usage(trials: int) -> tuple[int, int]:
+    """(peak RSS in KiB, minor page faults) of a fresh ``verify --trials <trials>``
+    process and its peer, read in a fresh wrapper process (Unix only)."""
     env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
-    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
-    subprocess.run([sys.executable, "-m", "bilorentz.cli", "verify", "--trials", str(trials)],
-                   env=env, capture_output=True, check=True, timeout=120)
-    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+    done = subprocess.run([sys.executable, "-c", _USAGE, str(trials)], env=env,
+                          capture_output=True, text=True, check=True, timeout=120)
+    return tuple(map(int, done.stdout.split()))
 
 
 def test_verify_with_warnings_as_errors_prints_the_serial_report(monkeypatch):
@@ -687,14 +761,29 @@ def test_a_peer_whose_caller_is_killed_leaves_before_its_next_block():
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="counts glibc malloc's faults")
 def test_fuzz_blocks_do_not_refault_their_temporaries():
     """A count, not a timing: the faults a fresh 400,000-trial run takes beyond a
-    1-trial run.  Its populations and block temporaries fault in once, in the
-    calling process and in its peer (about 3,800 pages in all); temporaries that
-    glibc hands back to the kernel after each block, to fault them in again for the
-    next one, took over 20,000 more.  The process ends by os._exit: the teardown of
-    an interpreter that has forked writes to pages the fork made copy-on-write, and
+    1-trial run, and those of a 1,600,000-trial run.  Each process's block inputs
+    and temporaries fault in once, in the calling process and in its peer (about
+    2,700 pages in all, at either size); temporaries that glibc hands back to the
+    kernel after each block, to fault them in again for the next one, took over
+    20,000 more.  While each process drew whole populations, 16 bytes per trial,
+    the extra faults grew with the trial count: about 3,700 at 400,000 trials and
+    9,800 at 4,000,000.  The process ends by os._exit: the teardown of an
+    interpreter that has forked writes to pages the fork made copy-on-write, and
     took about 3,300 more."""
-    extra = _verify_minor_faults(400_000) - _verify_minor_faults(1)
+    base = _verify_usage(1)[1]
+    extra = _verify_usage(400_000)[1] - base
     assert extra < 10_000, f"{extra} more minor faults at 400,000 trials than at 1"
+    more = _verify_usage(1_600_000)[1] - base
+    assert abs(more - extra) < 1_000, f"{more} at 1,600,000 trials, {extra} at 400,000"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in KiB")
+def test_verify_peak_memory_does_not_grow_with_trials():
+    """No array grows with the trial count: each block draws its own inputs.  While
+    each process drew whole populations, 16 bytes per trial, 1,600,000 trials peaked
+    about 24 MB above 100,000; now both peak at about 38 MB."""
+    small, large = _verify_usage(100_000)[0], _verify_usage(1_600_000)[0]
+    assert abs(large - small) < 2048, f"{large} KiB at 1,600,000 trials, {small} at 100,000"
 
 
 def test_rejects_nonpositive_trials():
