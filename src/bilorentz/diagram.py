@@ -9,9 +9,8 @@ a fixed number of decimals and elements are emitted in a fixed order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .core import TwoVector
+from .core import TwoVector, _setters, _Value
 from .worldlines import Scenario, Window, Worldline, WorldlineKind, transform_worldline
 
 _MARGIN = 40.0
@@ -33,27 +32,32 @@ class OutOfWindowError(ValueError):
     """An annotated event falls outside the plot window."""
 
 
-@dataclass(frozen=True)
-class DiagramStyle:
-    width_px: int = 480
-    height_px: int = 480
-    decimal_places: int = 6
+class DiagramStyle(_Value):
+    __slots__ = ("width_px", "height_px", "decimal_places")
 
-    def __post_init__(self):
-        if self.decimal_places < 1:
+    def __init__(self, width_px: int = 480, height_px: int = 480, decimal_places: int = 6):
+        if decimal_places < 1:
             raise ValueError("decimal_places must be >= 1")
-        if self.width_px <= 2 * _MARGIN or self.height_px <= 2 * _MARGIN:
+        if width_px <= 2 * _MARGIN or height_px <= 2 * _MARGIN:
             raise ValueError(
                 f"pixel dimensions must exceed {int(2 * _MARGIN)} in both directions")
+        _set_width_px(self, width_px)
+        _set_height_px(self, height_px)
+        _set_decimal_places(self, decimal_places)
 
 
-@dataclass(frozen=True)
-class SvgDocument:
+_set_width_px, _set_height_px, _set_decimal_places = _setters(DiagramStyle)
+
+
+class SvgDocument(_Value):
     """A rendered diagram plus the coordinate mapping used to place elements."""
 
-    style: DiagramStyle
-    window: Window
-    elements: tuple[str, ...]
+    __slots__ = ("style", "window", "elements")
+
+    def __init__(self, style: DiagramStyle, window: Window, elements: tuple[str, ...]):
+        _set_style(self, style)
+        _set_window(self, window)
+        _set_elements(self, elements)
 
     def to_pixel(self, p: TwoVector) -> tuple[float, float]:
         """Map an event to pixel coordinates (second coord right, first coord up)."""
@@ -72,6 +76,9 @@ class SvgDocument:
             f'width="{w}" height="{h}" viewBox="0 0 {w} {h}">\n'
         )
         return head + "\n".join(self.elements) + "\n</svg>\n"
+
+
+_set_style, _set_window, _set_elements = _setters(SvgDocument)
 
 
 def _fmt(value: float, decimals: int) -> str:

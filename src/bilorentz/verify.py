@@ -31,37 +31,45 @@ import pickle
 import signal
 from collections import namedtuple
 from contextvars import ContextVar
-from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
 from . import core
-from .core import STANDARD_METRIC, BranchKind, CausalClass, TwoVector
+from .core import STANDARD_METRIC, BranchKind, CausalClass, TwoVector, _setters, _Value
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    residual: float
-    tolerance: float
-    #: "ExceptionType: message" when the check raised instead of finishing.
-    error: str | None = None
+class CheckResult(_Value):
+    __slots__ = ("name", "residual", "tolerance", "error")
+
+    def __init__(self, name: str, residual: float, tolerance: float, error: str | None = None):
+        _set_name(self, name)
+        _set_residual(self, residual)
+        _set_tolerance(self, tolerance)
+        _set_error(self, error)  # "ExceptionType: message" when the check raised
 
     @property
     def passed(self) -> bool:
         return self.residual <= self.tolerance
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    seed: int
-    trials: int
-    checks: tuple[CheckResult, ...]
+_set_name, _set_residual, _set_tolerance, _set_error = _setters(CheckResult)
+
+
+class VerificationReport(_Value):
+    __slots__ = ("seed", "trials", "checks")
+
+    def __init__(self, seed: int, trials: int, checks: tuple[CheckResult, ...]):
+        _set_seed(self, seed)
+        _set_trials(self, trials)
+        _set_checks(self, checks)
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
+
+
+_set_seed, _set_trials, _set_checks = _setters(VerificationReport)
 
 
 _K_VALUES = (-1.0, -0.5, 0.5, 1.0)

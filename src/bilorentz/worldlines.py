@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .core import (
@@ -10,6 +9,8 @@ from .core import (
     CoordinateSpeed,
     Transform,
     TwoVector,
+    _setters,
+    _Value,
     apply,
     classify_coordinate,
     make_l,
@@ -25,59 +26,68 @@ class WorldlineKind(Enum):
     LIGHT_RAY = "lightray"
 
 
-@dataclass(frozen=True)
-class Worldline:
+class Worldline(_Value):
     """An inertial worldline: the line anchor + s * direction, s real.
 
     Light rays must have |direction.c1| == |direction.c2| (coordinate speed
     exactly 1); this is re-checked whenever a light ray is constructed.
     """
 
-    anchor: TwoVector
-    direction: TwoVector
-    label: str = ""
-    kind: WorldlineKind = WorldlineKind.PARTICLE
+    __slots__ = ("anchor", "direction", "label", "kind")
 
-    def __post_init__(self):
-        if self.direction.c1 == 0.0 and self.direction.c2 == 0.0:
+    def __init__(self, anchor: TwoVector, direction: TwoVector, label: str = "",
+                 kind: WorldlineKind = WorldlineKind.PARTICLE):
+        if direction.c1 == 0.0 and direction.c2 == 0.0:
             raise ValueError("worldline direction must be non-zero")
-        if self.kind is WorldlineKind.LIGHT_RAY:
-            gap = abs(abs(self.direction.c1) - abs(self.direction.c2))
-            if gap > DEFAULT_TOL * (abs(self.direction.c1) + abs(self.direction.c2)):
+        if kind is WorldlineKind.LIGHT_RAY:
+            gap = abs(abs(direction.c1) - abs(direction.c2))
+            if gap > DEFAULT_TOL * (abs(direction.c1) + abs(direction.c2)):
                 raise LightRayViolationError(
-                    f"light ray direction ({self.direction.c1}, {self.direction.c2}) "
+                    f"light ray direction ({direction.c1}, {direction.c2}) "
                     f"is off the light cone by {gap}")
+        _set_anchor(self, anchor)
+        _set_direction(self, direction)
+        _set_label(self, label)
+        _set_kind(self, kind)
 
 
-@dataclass(frozen=True)
-class Window:
+_set_anchor, _set_direction, _set_label, _set_kind = _setters(Worldline)
+
+
+class Window(_Value):
     """Rectangular plot bounds: lo/hi corner events."""
 
-    lo: TwoVector
-    hi: TwoVector
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        if not (self.hi.c1 > self.lo.c1 and self.hi.c2 > self.lo.c2):
+    def __init__(self, lo: TwoVector, hi: TwoVector):
+        if not (hi.c1 > lo.c1 and hi.c2 > lo.c2):
             raise ValueError("window must have positive width and height")
+        _set_lo(self, lo)
+        _set_hi(self, hi)
 
     def contains(self, p: TwoVector) -> bool:
         return (self.lo.c1 <= p.c1 <= self.hi.c1
                 and self.lo.c2 <= p.c2 <= self.hi.c2)
 
 
-@dataclass(frozen=True)
-class Scenario:
+_set_lo, _set_hi = _setters(Window)
+
+
+class Scenario(_Value):
     """A named set of worldlines, the frame change to draw them under, and bounds."""
 
-    name: str
-    transform: Transform
-    worldlines: tuple[Worldline, ...]
-    window: Window
-    events: tuple[tuple[TwoVector, str], ...] = ()
+    __slots__ = ("name", "transform", "worldlines", "window", "events")
 
-    def __post_init__(self):
-        object.__setattr__(self, "worldlines", tuple(self.worldlines))
-        object.__setattr__(self, "events", tuple(self.events))
+    def __init__(self, name: str, transform: Transform, worldlines: tuple[Worldline, ...],
+                 window: Window, events: tuple[tuple[TwoVector, str], ...] = ()):
+        _set_name(self, name)
+        _set_transform(self, transform)
+        _set_worldlines(self, tuple(worldlines))
+        _set_window(self, window)
+        _set_events(self, tuple(events))
+
+
+_set_name, _set_transform, _set_worldlines, _set_window, _set_events = _setters(Scenario)
 
 
 def transform_worldline(t: Transform, w: Worldline) -> Worldline:

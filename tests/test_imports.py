@@ -18,9 +18,14 @@ These modules must stay out of ``import bilorentz.cli`` in any case:
 * ``dataclasses``, ``inspect`` and ``__future__``: ``dataclasses`` imports
   ``inspect``, which pulls in ``ast``, ``dis`` and ``tokenize``, and each
   decorated class ``exec``s generated methods; together that was over half
-  of ``import bilorentz.cli``.  The value types of ``core`` are plain slotted
-  classes, and ``core`` and ``cli``, on every command's path, evaluate their
-  annotations without ``from __future__ import annotations``.
+  of ``import bilorentz.cli``.  ``core`` and ``cli``, on every command's path,
+  evaluate their annotations without ``from __future__ import annotations``.
+
+No module of the package imports ``dataclasses``: every value type, in
+``core``, ``worldlines``, ``diagram`` and ``verify`` alike, is a plain slotted
+class on ``core._Value``.  So the ``diagram`` command loads neither
+``dataclasses`` nor ``inspect``, and ``verify`` loads no more of them than
+``import numpy`` does.
 """
 
 import json
@@ -34,6 +39,8 @@ import pytest
 
 import bilorentz
 from bilorentz import diagram
+from bilorentz.scenario_io import save_scenario
+from bilorentz.worldlines import build_fig4_scenario
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -90,6 +97,39 @@ CORE_ONLY = {"bilorentz", "bilorentz.cli", "bilorentz.core"}
 ])
 def test_each_command_loads_only_what_it_uses(argv, loaded):
     assert _run(_RUN_MAIN, *argv) == [0, sorted(loaded)]
+
+
+HEAVY = ("dataclasses", "inspect")
+
+#: Runs ``cli.main`` on its arguments, or with none only imports numpy, and prints
+#: the exit code and which modules of HEAVY are loaded.
+_HEAVY_LOADED = f"""
+import contextlib, io, json, sys
+code = 0
+if sys.argv[1:]:
+    from bilorentz.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(sys.argv[1:])
+else:
+    import numpy
+print(json.dumps([code, [m for m in {HEAVY!r} if m in sys.modules]]))
+"""
+
+
+@pytest.mark.parametrize("command", ["diagram --builtin", "diagram --scenario", "verify"])
+def test_diagram_and_verify_load_no_dataclasses(command, tmp_path):
+    scenario = tmp_path / "fig4.json"
+    save_scenario(build_fig4_scenario(), scenario)
+    argv = {
+        "diagram --builtin": ["diagram", "--builtin", "fig2", "--out", str(tmp_path / "a")],
+        "diagram --scenario": ["diagram", "--scenario", str(scenario),
+                               "--out", str(tmp_path / "b")],
+        "verify": ["verify", "--trials", "1000"],
+    }[command]
+    # numpy 2 imports inspect itself; verify may load only what numpy does.
+    allowed = _run(_HEAVY_LOADED)[1] if command == "verify" else []
+    assert "dataclasses" not in allowed
+    assert _run(_HEAVY_LOADED, *argv) == [0, allowed]
 
 
 _FIRST_ACCESS = """

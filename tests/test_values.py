@@ -1,4 +1,5 @@
-"""Contract of the core value types: frozen, slotted, validated classes.
+"""Contract of the package's twelve value types: frozen, slotted, validated
+classes on ``core._Value``, in ``core``, ``worldlines``, ``diagram`` and ``verify``.
 
 Each names its fields once, in ``__slots__``.  ``==`` and ``hash`` go by the
 field tuple, repr reads ``Name(field=value, ...)``, assignment and deletion
@@ -13,7 +14,7 @@ import weakref
 
 import pytest
 
-from bilorentz import core
+from bilorentz import core, worldlines
 from bilorentz.core import (
     BranchKind,
     CausalClass,
@@ -24,9 +25,26 @@ from bilorentz.core import (
     TwoVector,
     make_lambda,
 )
+from bilorentz.diagram import DiagramStyle, SvgDocument
+from bilorentz.verify import CheckResult, VerificationReport
+from bilorentz.worldlines import LightRayViolationError, Scenario, Window, Worldline, WorldlineKind
 
 M = ((1.0, 0.5), (0.5, 1.0))
 DERIVED = BranchKind.DERIVED
+T = Transform(M, DERIVED)
+ORIGIN = TwoVector(0, 0)
+WL = Worldline(ORIGIN, TwoVector(1, 0.5))
+WIN = Window(TwoVector(-1, -1), TwoVector(1, 1))
+STYLE = DiagramStyle()
+CHECK = CheckResult("k_recovery", 0.0, 1e-10)
+
+T_REPR = ("Transform(m=((1.0, 0.5), (0.5, 1.0)), branch=<BranchKind.DERIVED: 'derived'>, "
+          "tau=None, k=None, vel=None)")
+WL_REPR = ("Worldline(anchor=TwoVector(c1=0.0, c2=0.0), direction=TwoVector(c1=1.0, c2=0.5), "
+           "label='', kind=<WorldlineKind.PARTICLE: 'particle'>)")
+WIN_REPR = "Window(lo=TwoVector(c1=-1.0, c2=-1.0), hi=TwoVector(c1=1.0, c2=1.0))"
+STYLE_REPR = "DiagramStyle(width_px=480, height_px=480, decimal_places=6)"
+CHECK_REPR = "CheckResult(name='k_recovery', residual=0.0, tolerance=1e-10, error=None)"
 
 #: class -> (positional args, the same value by keyword, its repr at this
 #: value, its field names)
@@ -34,8 +52,7 @@ VALUES = {
     TwoVector: ((1, 2.5), {"c1": 1.0, "c2": 2.5},
                 "TwoVector(c1=1.0, c2=2.5)", ("c1", "c2")),
     Transform: ((M, DERIVED), {"m": M, "branch": DERIVED, "tau": None, "k": None, "vel": None},
-                "Transform(m=((1.0, 0.5), (0.5, 1.0)), branch=<BranchKind.DERIVED: 'derived'>, "
-                "tau=None, k=None, vel=None)", ("m", "branch", "tau", "k", "vel")),
+                T_REPR, ("m", "branch", "tau", "k", "vel")),
     Metric: ((M,), {"g": M}, "Metric(g=((1.0, 0.5), (0.5, 1.0)))", ("g",)),
     CoordinateSpeed: ((0.5,), {"value": 0.5}, "CoordinateSpeed(value=0.5)", ("value",)),
     CausalReport: ((CoordinateSpeed(0.5), 3.0, CausalClass.TIMELIKE),
@@ -44,6 +61,31 @@ VALUES = {
                    "CausalReport(coord_speed=CoordinateSpeed(value=0.5), interval_sq=3.0, "
                    "causal_class=<CausalClass.TIMELIKE: 'timelike'>)",
                    ("coord_speed", "interval_sq", "causal_class")),
+    Worldline: ((ORIGIN, TwoVector(1, 0.5)),
+                {"anchor": ORIGIN, "direction": TwoVector(1, 0.5), "label": "",
+                 "kind": WorldlineKind.PARTICLE},
+                WL_REPR, ("anchor", "direction", "label", "kind")),
+    Window: ((TwoVector(-1, -1), TwoVector(1, 1)), {"lo": WIN.lo, "hi": WIN.hi},
+             WIN_REPR, ("lo", "hi")),
+    # Positional lists are coerced to tuples.
+    Scenario: (("demo", T, [WL], WIN, [(ORIGIN, "X")]),
+               {"name": "demo", "transform": T, "worldlines": (WL,), "window": WIN,
+                "events": ((ORIGIN, "X"),)},
+               f"Scenario(name='demo', transform={T_REPR}, worldlines=({WL_REPR},), "
+               f"window={WIN_REPR}, events=((TwoVector(c1=0.0, c2=0.0), 'X'),))",
+               ("name", "transform", "worldlines", "window", "events")),
+    DiagramStyle: ((), {"width_px": 480, "height_px": 480, "decimal_places": 6},
+                   STYLE_REPR, ("width_px", "height_px", "decimal_places")),
+    SvgDocument: ((STYLE, WIN, ("<title>t</title>",)),
+                  {"style": STYLE, "window": WIN, "elements": ("<title>t</title>",)},
+                  f"SvgDocument(style={STYLE_REPR}, window={WIN_REPR}, "
+                  "elements=('<title>t</title>',))", ("style", "window", "elements")),
+    CheckResult: (("k_recovery", 0.0, 1e-10),
+                  {"name": "k_recovery", "residual": 0.0, "tolerance": 1e-10, "error": None},
+                  CHECK_REPR, ("name", "residual", "tolerance", "error")),
+    VerificationReport: ((0, 1000, (CHECK,)), {"seed": 0, "trials": 1000, "checks": (CHECK,)},
+                         f"VerificationReport(seed=0, trials=1000, checks=({CHECK_REPR},))",
+                         ("seed", "trials", "checks")),
 }
 
 classes = pytest.mark.parametrize("cls", VALUES, ids=lambda cls: cls.__name__)
@@ -108,6 +150,19 @@ def test_copy_and_reduce_go_through_init():
     for again in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
         with pytest.raises(ValueError, match="must be finite"):
             again(broken)
+
+
+def test_copy_and_pickle_validate_worldline_values_again():
+    # As for TwoVector above: a field written around __init__ fails its check again.
+    narrow = Window(TwoVector(0.0, 0.0), TwoVector(1.0, 1.0))
+    worldlines._set_hi(narrow, TwoVector(0.0, 1.0))
+    ray = Worldline(ORIGIN, TwoVector(1.0, 0.5))
+    worldlines._set_kind(ray, WorldlineKind.LIGHT_RAY)
+    for broken, error, message in ((narrow, ValueError, "positive width and height"),
+                                   (ray, LightRayViolationError, "off the light cone")):
+        for again in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+            with pytest.raises(error, match=message):
+                again(broken)
 
 
 @classes

@@ -591,8 +591,9 @@ def test_block_inputs_are_the_whole_population_draws(monkeypatch, trials, seed):
 def test_verify_memory_is_bounded_per_trial():
     """numpy reports its buffers to tracemalloc, so this is a byte count, not
     a timing: the untouched 16-byte-per-trial chunk that refuses an impossible
-    trial count, plus one block of inputs and temporaries, not whole-population
-    inputs or temporaries."""
+    trial count, plus one block of inputs and temporaries.  That reads 16.0
+    B/trial; with whole-population inputs, before each block drew its own, the
+    same run read 23.7, above the bound."""
     trials = 400_000
     was_tracing = tracemalloc.is_tracing()
     if not was_tracing:
@@ -605,7 +606,7 @@ def test_verify_memory_is_bounded_per_trial():
     finally:
         if not was_tracing:
             tracemalloc.stop()
-    assert (peak - before) / trials < 40
+    assert (peak - before) / trials < 20
 
 
 #: Runs ``verify --trials <argv[1]>`` as its one child and prints the child's
