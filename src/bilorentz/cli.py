@@ -1,8 +1,9 @@
 """Command-line interface: transform, classify, compose, verify, diagram.
 
-Exit codes: 0 success, 1 identity verification failure, 2 input error,
-3 degenerate rendering (empty window / out-of-window event).  Every error
-path prints a single ``error: ...`` line to stderr.
+Exit codes: 0 success, 1 identity verification failure, 2 input error (and
+``verify`` without numpy, the ``verify`` extra), 3 degenerate rendering (empty
+window / out-of-window event).  Every error path prints a single ``error: ...``
+line to stderr.
 
 ``run()`` is the entry point of a ``bilorentz`` process: the installed script
 and ``python -m bilorentz.cli``.  ``main()`` returns the exit code, for callers
@@ -97,7 +98,13 @@ def __getattr__(name):
 
 
 def _cmd_verify(args) -> int:
-    from . import verify
+    try:
+        from . import verify
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        print("error: verify needs numpy: pip install 'bilorentz[verify]'", file=sys.stderr)
+        return EXIT_INPUT_ERROR
 
     report = verify.run_verification(trials=args.trials, seed=args.seed)
     print(verify.format_report(report))

@@ -5,10 +5,12 @@ fuzz population; a run passes only when every residual stays within its
 tolerance.  Grid checks are deterministic; fuzz checks are reproducible
 from (seed, trials).
 
-A fuzz check never holds its whole population.  It moves the rng past the
-draws of the population (see ``_skipped``) and samples its transforms after
+A fuzz check never holds its whole population.  Its inputs have one layout
+(see ``_inputs``): a check of w input columns owns the rng's next w * trials
+outputs, and column j of trial i is the uniform draw from output j * trials + i.
+The check moves the rng past those outputs and samples its transforms after
 them; then it runs every sampled transform over the population in slices of
-``_BLOCK`` trials, each slice drawing its own inputs from a copy of the rng
+``_BLOCK`` trials, each slice drawing its own columns from a copy of the rng
 placed where they start.  So no array grows with the trial count, the
 per-slice temporaries stay in cache, and the memory a slice frees stays in
 the process for the next one.  On 2 or more CPUs, ``run_verification`` forks
@@ -281,29 +283,25 @@ def _gap(a: core.Mat, b: core.Mat, sign: int = 1) -> float:
                    abs(a10 - sign * b10), abs(a11 - sign * b11)))
 
 
-def _skipped(rng: np.random.Generator, outputs: int):
-    """Move rng on by outputs 64-bit outputs, the draws of a population it does not
-    draw, and return at: at(i) is a Generator whose next draws are the ones rng had
-    after its next i outputs.  uniform takes one output per value, and integers(0, 2)
-    one 32-bit half; at reuses one Generator, placed anew by each call.  rng's bit
-    generator must be a PCG64, as default_rng's is; advance drops a half that an
-    earlier 32-bit draw left buffered."""
+def _inputs(rng: np.random.Generator, trials: int, *ranges):
+    """Move rng on by len(ranges) * trials outputs and return inputs: inputs(block) is
+    the list of the block's columns, where column j of trial i is the uniform draw on
+    ranges[j] = (low, high) from rng output j * trials + i.  Joined over the blocks,
+    column j is the rng.uniform(low, high, trials) that rng would draw after the
+    columns before it.  inputs reuses one Generator, placed anew for each column;
+    rng's bit generator must be a PCG64, as default_rng's is."""
     start = rng.bit_generator.state
-    rng.bit_generator.advance(outputs)
+    rng.bit_generator.advance(len(ranges) * trials)
     gen = np.random.Generator(np.random.PCG64())
 
-    def at(i: int) -> np.random.Generator:
-        gen.bit_generator.state = start
-        gen.bit_generator.advance(i)
-        return gen
-    return at
-
-
-def _minus_signs(rng: np.random.Generator, n: int) -> np.ndarray:
-    """True where rng.choice([-1.0, 1.0], size=n) would draw -1.0, from the same
-    draws: choice indexes its population with rng.integers(0, 2, size=n).  One
-    byte per trial, where choice's float64 result takes eight."""
-    return rng.integers(0, 2, size=n) == 0
+    def inputs(block: slice) -> list:
+        columns = []
+        for j, (low, high) in enumerate(ranges):
+            gen.bit_generator.state = start
+            gen.bit_generator.advance(j * trials + block.start)
+            columns.append(gen.uniform(low, high, size=block.stop - block.start))
+        return columns
+    return inputs
 
 
 def _sample_w(rng: np.random.Generator) -> float:
@@ -343,17 +341,20 @@ def check_k_recovery() -> CheckResult:
 
 
 def check_determinant_law() -> CheckResult:
-    """det lambda = (1 - v**2)/(1 - k*v**2), whose v -> inf limit is 1/k for k < 0; at
-    k = 1 each family's det is its parity."""
+    """det lambda = (1 - v**2)/(1 - k*v**2), whose v -> inf limit is 1/k for k < 0; the
+    v = inf matrix is also make_lambda's at v = 1e100, sign included.  At k = 1 each
+    family's det is its parity."""
     families = _families()
     general = (abs(core.mat_det(fam.make(tau, k, v).m) - (1.0 - v * v) / (1.0 - k * v * v))
                for fam, k, v in _family_grid(families[:1], 25) for tau in (1, -1))
-    limit = (abs(core.mat_det(core.make_transform("lambda", tau, k, math.inf).m) - 1.0 / k)
-             for k in _K_VALUES if k < 0.0 for tau in (1, -1))
+    limits = [(k, tau, core.make_transform("lambda", tau, k, math.inf).m)
+              for k in _K_VALUES if k < 0.0 for tau in (1, -1)]
+    limit = (abs(core.mat_det(m) - 1.0 / k) for k, _, m in limits)
+    near = (_gap(m, core.make_lambda(tau, k, 1e100).m) for k, tau, m in limits)
     unit_k = (abs(core.mat_det(fam.make(tau, 1.0, float(u)).m) - fam.parity)
               for fam, grid in zip(families, (np.linspace(-0.9, 0.9, 19), _w_grid()))
               for tau in (1, -1) for u in grid)
-    return CheckResult("determinant_law", _worst((*general, *limit, *unit_k)), 1e-12)
+    return CheckResult("determinant_law", _worst((*general, *limit, *near, *unit_k)), 1e-12)
 
 
 def check_swap_decomposition() -> CheckResult:
@@ -420,12 +421,11 @@ def check_interval_invariance(rng: np.random.Generator, trials: int) -> CheckRes
     The discrepancy is measured relative to max(|before|, |after|, 1); the
     unit floor keeps near-lightlike displacements from dividing by zero.
     """
-    at = _skipped(rng, 2 * trials)      # c1 = uniform(-1, 1, trials), then c2 likewise
+    inputs = _inputs(rng, trials, (-1.0, 1.0), (-1.0, 1.0))
     pairs = _sample_matrices_and_metrics(rng, 10)
 
     def block_gap(block):
-        b1, b2 = (at(i).uniform(-1.0, 1.0, size=block.stop - block.start)
-                  for i in (block.start, trials + block.start))
+        b1, b2 = inputs(block)
         s_before = core.quad_form(STANDARD_METRIC.g, b1, b2)
         floor = np.maximum(1.0, np.abs(s_before))
 
@@ -441,20 +441,18 @@ def check_light_cone_preservation(rng: np.random.Generator, trials: int) -> Chec
     """Lightlike displacements stay lightlike under every family transform.
 
     The displacement is (c1, c2) = (s1*r, s2*s1*r), with r uniform on [0.01, 1)
-    and fair random signs s1, s2, drawn as r, then every s1, then every s2.  The
-    signs take one 32-bit half each, so with an odd trial count the s2 of a block
-    can start on the second half of an output: the draw before it is dropped.
+    and fair, independent signs s1 and s2, both read from q uniform on [-1, 1):
+    s1 is the sign of q, and s2 is -1 where |q| < 0.5.  A family matrix is
+    [[a, b], [b, a]], and with c2 = +-c1 the image components a*c1 + b*c2 and
+    b*c1 + a*c2 are equal or opposite in floats: the residual is exactly 0.0.
     """
-    at = _skipped(rng, 2 * trials)      # trials outputs for r, 2 * trials halves for signs
+    inputs = _inputs(rng, trials, (0.01, 1.0), (-1.0, 1.0))
     matrices = [t.m for t in _sample_family_transforms(rng, 5)]
 
     def block_gap(block):
-        n = block.stop - block.start
-        r = at(block.start).uniform(0.01, 1.0, size=n)
-        minus1, minus2 = (_minus_signs(at(trials + h // 2), h % 2 + n)[h % 2:]
-                          for h in (block.start, trials + block.start))
-        c1 = np.where(minus1, -r, r)
-        c2 = np.where(minus2, -c1, c1)
+        r, q = inputs(block)
+        c1 = np.copysign(r, q)
+        c2 = np.where(np.abs(q) < 0.5, -c1, c1)
         return _worst(np.abs(np.abs(e1) - np.abs(e2))
                       for e1, e2 in (core.mat_vec(m, c1, c2) for m in matrices))
     return CheckResult("light_cone_preservation", _worst(_map_blocks(block_gap, trials)), 1e-12)
@@ -462,12 +460,11 @@ def check_light_cone_preservation(rng: np.random.Generator, trials: int) -> Chec
 
 def check_causal_class_absoluteness(rng: np.random.Generator, trials: int) -> CheckResult:
     """The timelike/lightlike/spacelike class never changes across frames."""
-    at = _skipped(rng, 2 * trials)      # c1 = uniform(-1, 1, trials), then c2 likewise
+    inputs = _inputs(rng, trials, (-1.0, 1.0), (-1.0, 1.0))
     pairs = _sample_matrices_and_metrics(rng, 5)
 
     def block_mismatches(block):
-        b1, b2 = (at(i).uniform(-1.0, 1.0, size=block.stop - block.start)
-                  for i in (block.start, trials + block.start))
+        b1, b2 = inputs(block)
         cls_before = core.causal_sign(core.quad_form(STANDARD_METRIC.g, b1, b2),
                                       core.form_size(STANDARD_METRIC.g, b1, b2))
         mismatches = 0
@@ -486,11 +483,11 @@ def check_measured_speed_bound(rng: np.random.Generator, trials: int) -> CheckRe
     The worldline direction (1, v) maps to (e1, e2); the swapped readout of
     measured_displacement reads e2 as c*dt and e1 as dx, so its speed is |e1/e2|.
     """
-    at = _skipped(rng, trials)          # v = rng.uniform(-0.99, 0.99, size=trials)
+    inputs = _inputs(rng, trials, (-0.99, 0.99))
     matrices = [core.make_l(-1, 1.0, _sample_w(rng)).m for _ in range(5)]
 
     def block_speed(block):
-        v = at(block.start).uniform(-0.99, 0.99, size=block.stop - block.start)
+        v, = inputs(block)
         return _worst(np.abs(np.divide(*core.mat_vec(m, 1.0, v))) for m in matrices)
     return CheckResult("measured_speed_bound", _worst(_map_blocks(block_speed, trials)),
                        1.0 - 1e-9)

@@ -5,7 +5,8 @@ in-process tests of ``cli.main()`` cannot see what it does.  Here real
 processes must print what ``main()`` prints and exit with its code, with
 stdout buffered and unbuffered; report a closed stdout as the interpreter
 does; leave a profiler its report; and fork ``verify``'s peer from a single
-thread.
+thread.  Each CPython from 3.10 on that pyenv holds must run the CLI's golden
+cases as the interpreter of the tests does, and refuse ``verify`` without numpy.
 """
 
 import json
@@ -149,3 +150,73 @@ def test_verify_forks_its_peer_from_a_single_thread():
                            "--trials", "70000"], env=_env(OPENBLAS_NUM_THREADS="2"),
                           capture_output=True, text=True, timeout=120)
     assert (done.returncode, done.stderr) == (0, "threads at fork: 1\n")
+
+
+#: Runs cli.run() on its arguments as if numpy were not installed.
+_WITHOUT_NUMPY = "import sys\nsys.modules['numpy'] = None\nfrom bilorentz import cli\ncli.run()\n"
+
+#: The CLI cases each CPython from 3.10 on must run as the interpreter of the tests
+#: does: the golden diagrams, each exit code, and verify refused without numpy.
+_INTERPRETER_CASES = {
+    **{name: ["-m", "bilorentz.cli", *argv] for name, argv in {
+        "transform": CORPUS["transform"][1],
+        "transform_inf": ["transform", "--branch", "lambda", "--tau", "-1", "--k", "-0.5",
+                          "--vel", "inf", "--vec", "1,2"],
+        "domain_error": ["transform", "--branch", "lambda", "--tau", "1", "--k", "1",
+                         "--vel", "2", "--vec", "1,1"],
+        "classify": CORPUS["classify"][1],
+        "compose": ["compose", "lambda,1,1,0.999", "lambda,1,1,0.999"],
+        "compose_l": ["compose", "l,-1,1,2", "l,1,1,-3"],
+        **{name: ["diagram", "--builtin", name, "--out", name] for name in ("fig2", "fig3", "fig4")},
+        "bad_scenario": CORPUS["bad_scenario"][1],
+        "empty_window": CORPUS["empty_window"][1],
+    }.items()},
+    "verify_without_numpy": ["-c", _WITHOUT_NUMPY, "verify", "--trials", "7"],
+}
+
+
+def _run(python: str, argv, cwd=None) -> tuple:
+    done = subprocess.run([python, *argv], cwd=cwd, env=_env(), capture_output=True, text=True,
+                          timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+def _run_cases(python: str, folder: Path) -> dict:
+    """(exit code, stdout, stderr) of each case under python, run in folder, and the
+    bytes of every SVG the cases wrote there."""
+    _write_scenarios(folder)
+    out = {name: _run(python, argv, folder) for name, argv in _INTERPRETER_CASES.items()}
+    out["svg"] = {path.name: path.read_bytes() for path in sorted(folder.glob("*.svg"))}
+    return out
+
+
+@pytest.fixture(scope="module")
+def reference_cases(tmp_path_factory):
+    return _run_cases(sys.executable, tmp_path_factory.mktemp("reference") / "cases")
+
+
+def test_the_reference_cases_are_golden_and_refuse_verify_without_numpy(reference_cases):
+    assert reference_cases["svg"] == {path.name: path.read_bytes()
+                                      for path in sorted(GOLDEN.glob("*.svg"))}
+    assert reference_cases["verify_without_numpy"] == (
+        2, "", "error: verify needs numpy: pip install 'bilorentz[verify]'\n")
+    assert {case[0] for name, case in reference_cases.items() if name != "svg"} == {0, 2, 3}
+
+
+@pytest.mark.parametrize("version", ["3.10", "3.11", "3.12", "3.13"])
+def test_each_cpython_runs_the_cli_cases_as_the_tests_interpreter_does(version, tmp_path,
+                                                                       reference_cases):
+    """The same stdout, stderr, exit codes and SVG bytes under each CPython from 3.10
+    on that pyenv holds.  Plain verify refuses under one without numpy, as the
+    reference does with numpy hidden, and runs as the reference does under one with it."""
+    if version == "{}.{}".format(*sys.version_info):
+        pytest.skip(f"{version} runs the tests: it is the reference")
+    found = sorted((Path.home() / ".pyenv" / "versions").glob(f"{version}.*/bin/python3"))
+    if not found:
+        pytest.skip(f"no CPython {version} in ~/.pyenv/versions")
+    python = str(found[-1])
+    assert _run_cases(python, tmp_path / "cases") == reference_cases
+    verify = ["-m", "bilorentz.cli", "verify", "--trials", "7"]
+    has_numpy = _run(python, ["-c", "import numpy"])[0] == 0
+    assert _run(python, verify) == (_run(sys.executable, verify) if has_numpy
+                                    else reference_cases["verify_without_numpy"])

@@ -201,3 +201,20 @@ def test_cli_imports_only_core_of_the_package_at_module_level():
     package = [name for name in imported if name.startswith(".")
                or name.split(".")[0] == "bilorentz"]
     assert package == [".core"], f"cli.py: module-level package imports {package}"
+
+
+def test_verify_places_the_rng_only_in_inputs():
+    # Every fuzz input follows _inputs's one layout, column j of trial i from rng
+    # output j * trials + i; a check that placed the rng itself, or drew integers or a
+    # choice, would lay out its draws by a rule of its own.
+    path = next(p for p in SOURCES if p.name == "verify.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    helper = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_inputs")
+    inside = set(ast.walk(helper))
+    placed = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+              and node.attr == "bit_generator" and node not in inside]
+    assert placed == [], f"verify.py: bit_generator outside _inputs at lines {placed}"
+    drawn = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute) and node.func.attr in ("integers", "choice")]
+    assert drawn == [], f"verify.py: integers or choice drawn at lines {drawn}"

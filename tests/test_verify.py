@@ -489,61 +489,29 @@ def test_a_peer_killed_in_its_first_block_leaves_the_report_unchanged(monkeypatc
     _no_child_process_left()
 
 
-@pytest.mark.parametrize("seed", [0, 7, 1000])
-def test_minus_signs_are_the_draws_of_choice(seed):
-    """The light-cone check draws its signs through rng.integers to save memory;
-    they must be rng.choice([-1.0, 1.0])'s and leave the rng in the same state,
-    or every later draw of verify would change."""
-    for n in (1, 7, 100_001):
-        ours, choices = np.random.default_rng(seed), np.random.default_rng(seed)
-        minus = verify._minus_signs(ours, n)
-        assert np.array_equal(minus, choices.choice([-1.0, 1.0], size=n) == -1.0)
-        assert ours.bit_generator.state == choices.bit_generator.state
-
-
-@pytest.mark.parametrize("seed", [0, 5, 1000])
-def test_light_cone_population_matches_its_choice_reference(monkeypatch, seed):
-    """Reference: the population drawn with rng.choice and multiplied out.  The
-    check's residual is 0.0 either way, so compare what reaches core.mat_vec."""
-    trials = 70_000
-    rng = np.random.default_rng(seed)
-    c1 = rng.uniform(0.01, 1.0, size=trials) * rng.choice([-1.0, 1.0], size=trials)
-    c2 = c1 * rng.choice([-1.0, 1.0], size=trials)
-    transforms = len(verify._sample_family_transforms(rng, 5))
-    seen = []
-    real_mat_vec = core.mat_vec
-
-    def recording_mat_vec(m, b1, b2):
-        seen.append((b1, b2))
-        return real_mat_vec(m, b1, b2)
-
-    monkeypatch.setattr(core, "mat_vec", recording_mat_vec)
-    checked = np.random.default_rng(seed)
-    verify.check_light_cone_preservation(checked, trials)
-    first_transform = seen[::transforms]
-    assert np.concatenate([b1 for b1, _ in first_transform]).tobytes() == c1.tobytes()
-    assert np.concatenate([b2 for _, b2 in first_transform]).tobytes() == c2.tobytes()
-    _assert_same_next_draws(checked, rng)
-
-
-def _assert_same_next_draws(ours, reference):
-    """ours draws on as reference does.  A check moves its rng past the population with
-    bit_generator.advance, which zeroes the state's "uinteger", the 32-bit half that a
-    drawn population of signs consumed last and left there; with has_uint32 0 on both
-    sides, that half is never drawn again."""
-    mine, theirs = ours.bit_generator.state, reference.bit_generator.state
-    assert (mine["state"], mine["has_uint32"]) == (theirs["state"], theirs["has_uint32"])
-    assert ours.integers(0, 2, size=3).tolist() == reference.integers(0, 2, size=3).tolist()
-    assert ours.random(3).tolist() == reference.random(3).tolist()
+@pytest.mark.parametrize("block", [7, 1 << 12, 1 << 15, 1 << 17])
+@pytest.mark.parametrize("trials", [1, 7, 32_768, 32_769, 100_001])
+def test_inputs_columns_are_the_uniform_draws_from_output_j_times_trials(monkeypatch, trials,
+                                                                       block):
+    """Joined over the blocks, column j is rng.uniform(low, high, trials) read from
+    output j * trials, and the rng ends len(ranges) * trials outputs on."""
+    monkeypatch.setattr(verify, "_BLOCK", block)
+    ranges = ((-1.0, 1.0), (0.01, 1.0), (-0.99, 0.99))
+    rng, reference = np.random.default_rng(3), np.random.default_rng(3)
+    blocks = verify._map_blocks(verify._inputs(rng, trials, *ranges), trials)
+    for j, (low, high) in enumerate(ranges):
+        drawn = np.concatenate([columns[j] for columns in blocks])
+        assert drawn.tobytes() == reference.uniform(low, high, trials).tobytes()
+    assert rng.bit_generator.state == reference.bit_generator.state
 
 
 def _population_inputs(check, rng, trials):
-    """The (c1, c2) that check's first sampled transform gets, drawn as one population
-    the way the check drew it before its slices drew their own, and how many
-    transforms it samples after it."""
+    """The (c1, c2) that check's first sampled transform gets, drawn as one population,
+    and how many transforms it samples after it."""
     if check is verify.check_light_cone_preservation:
-        c1 = rng.uniform(0.01, 1.0, size=trials) * rng.choice([-1.0, 1.0], size=trials)
-        return (c1, c1 * rng.choice([-1.0, 1.0], size=trials)), \
+        r, q = rng.uniform(0.01, 1.0, size=trials), rng.uniform(-1.0, 1.0, size=trials)
+        c1 = np.where(q < 0.0, -r, r)
+        return (c1, np.where(np.abs(q) < 0.5, -c1, c1)), \
             len(verify._sample_family_transforms(rng, 5))
     if check is verify.check_measured_speed_bound:
         v = rng.uniform(-0.99, 0.99, size=trials)
@@ -559,9 +527,9 @@ def _population_inputs(check, rng, trials):
 @pytest.mark.parametrize("trials", [1, 7, 32_768, 32_769, 100_001])
 def test_block_inputs_are_the_whole_population_draws(monkeypatch, trials, seed):
     """Each block draws its own inputs from a copy of the rng placed where they start;
-    they must be the slices of the population the check used to draw, and the rng
-    must end where that population left it.  An odd trial count starts the second
-    light-cone sign stream on the high half of an output."""
+    they must be the slices of the population drawn whole, and the rng must end where
+    that population left it, in its whole state.  The light cone's residual is exactly
+    0.0, whatever its population."""
     seen = []
     real_mat_vec = core.mat_vec
 
@@ -575,13 +543,16 @@ def test_block_inputs_are_the_whole_population_draws(monkeypatch, trials, seed):
         reference = np.random.default_rng(seed)
         population, transforms = _population_inputs(check, reference, trials)
         checked = np.random.default_rng(seed)
-        assert check(checked, trials).passed, check.__name__
+        result = check(checked, trials)
+        assert result.passed, check.__name__
+        if check is verify.check_light_cone_preservation:
+            assert result.residual == 0.0
         first_transform = seen[::transforms]
         for i, column in enumerate(population):
             drawn = np.concatenate([np.broadcast_to(inputs[i], np.shape(inputs[1]))
                                     for inputs in first_transform])
             assert drawn.tobytes() == column.tobytes(), check.__name__
-        _assert_same_next_draws(checked, reference)
+        assert checked.bit_generator.state == reference.bit_generator.state, check.__name__
     monkeypatch.setattr(core, "mat_vec", real_mat_vec)
     serial = run_verification(trials=trials, seed=seed)
     monkeypatch.setattr(verify, "_WORKERS", 2)
