@@ -76,34 +76,36 @@ _set_seed, _set_trials, _set_checks = _setters(VerificationReport)
 
 _K_VALUES = (-1.0, -0.5, 0.5, 1.0)
 
-#: Trials per slice in the fuzz checks: 256 KiB per float64 temporary.  In fresh
-#: processes on a 2-core host with the peer sharing the slices (two rounds, median
-#: of 9 each), the four fuzz checks at 1e6 trials took 364 and 405 ms at 2**13, 319
-#: and 354 ms at 2**14, 301 and 324 ms at 2**15 and 362 and 371 ms at 2**16.  The
-#: calling process peaked at 51.9 MB RSS at 2**13 and 2**14, 52.7 MB at 2**15 and
-#: 55.0 MB at 2**16.  At 1e5 trials 2**14 and 2**15 both took 43 ms, at 37.3 and
-#: 39.0 MB, so 2**14 would save 1.7 MB there and cost 6-9% at 1e6.  Those runs held
-#: whole populations; now that each slice draws its own inputs, a run of any size
-#: peaks at about 38 MB.
-_BLOCK = 1 << 15
+#: Trials per slice in the fuzz checks: 128 KiB per float64 temporary.  A check holds
+#: about ten block-sized arrays at once (its columns, s_before, floor, the image
+#: components and quad_form's temporaries), about 1.45 MB, where blocks of 2**15 held
+#: 3.4 MB.  On a 2-core host (2 MiB L2 per core), fresh verify processes and their
+#: peers peaked at 36.1 MB RSS at 1e5, 1e6 and 4e6 trials alike, against 38.0-38.2 MB
+#: at 2**15 and 34.7 MB for a 1-trial run.  The twice as many ufunc calls cost time
+#: that the smaller working set did not win back there: warm 1e6 runs took 4-6%
+#: longer than at 2**15 (minimum of 12: 244 against 235 ms with the peer, 417 against
+#: 393 ms in one process).  2**13 peaked at 35.4 MB and took about 10% longer again
+#: (267 and 462 ms).
+_BLOCK = 1 << 14
 
 #: Processes that share a fuzz check's slices, the calling one among them: one per
 #: CPU this process may run on, but at most 2, the count that was measured.  Each
-#: holds only its own slice inputs and temporaries, about 2.5 MB: the two peak at
-#: about 38 MB RSS at 1e5, 1e6 and 4e6 trials alike.  While each held a copy of the
+#: holds only its own slice inputs and temporaries, about 1.5 MB: the two peak at
+#: about 36 MB RSS at 1e5, 1e6 and 4e6 trials alike.  While each held a copy of the
 #: populations, 16 bytes per trial, the calling process peaked at 52.7 MB at 1e6
 #: trials and the peer at 48.3 MB, and one process running the slices on two threads
-#: at 55.1 MB.  In the rounds above two processes ran the four checks 1.66-1.69x
-#: faster than one (500 and 548 ms); two threads, which trade the GIL on every ufunc
-#: call, took 420 and 432 ms.  The affinity mask also ignores a cgroup's CPU quota.
+#: at 55.1 MB.  In fresh processes at 1e6 trials and blocks of 2**15, two processes
+#: ran the four checks 1.66-1.69x faster than one (500 and 548 ms); two threads, which
+#: trade the GIL on every ufunc call, took 420 and 432 ms.  The affinity mask also
+#: ignores a cgroup's CPU quota.
 _CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
          else os.cpu_count() or 1)
 _WORKERS = 2 if _CPUS >= 2 else 1
 
 #: (rank, pipe, pid) while a forked peer shares this context's fuzz checks (see
 #: _with_peer): rank 0, the read end and the peer's pid in the caller, rank 1, the
-#: write end and the caller's pid in the peer.  A context variable, so that a run in another thread neither sees nor
-#: shares it.
+#: write end and the caller's pid in the peer.  A context variable, so that a run in
+#: another thread neither sees nor shares it.
 _PEER = ContextVar("_PEER", default=None)
 
 
@@ -125,13 +127,14 @@ def _map_blocks(fn, trials: int) -> list | int:
     starts = range(0, trials, _BLOCK)
     if fn is None:
         return len(starts)
-    # glibc malloc mmaps a chunk above its mmap threshold (128 KiB at start-up), and
-    # freeing it raises that threshold to its size and the trim threshold to twice that
-    # (mallopt(3)).  Until then each 256 KiB block temporary comes from the heap, and
-    # free() gives the free top of the heap back to the kernel once it passes the
-    # 128 KiB trim threshold, so the next block faults the same pages in again.  One
-    # untouched 2 MiB chunk, freed at once, keeps freed blocks in the process from the
-    # first block on.
+    # glibc malloc mmaps a chunk of at least its mmap threshold (128 KiB at start-up),
+    # and freeing it raises that threshold to its size and the trim threshold to twice
+    # that (mallopt(3)).  A 128 KiB block temporary sits exactly at the start-up
+    # threshold, so the first one would raise the trim threshold only to about 264 KiB,
+    # and free() gives the free top of the heap back to the kernel once it passes the
+    # trim threshold, so the next block faults the same pages in again.  One untouched
+    # chunk of eight blocks' worth, freed at once, keeps a block's working set of about
+    # 1.45 MB in the process from the first block on.
     np.empty(8 * _BLOCK)
     blocks = list(map(slice, starts, [*starts[1:], trials]))
     peer = _PEER.get()
@@ -533,11 +536,12 @@ def run_verification(trials: int = 100_000, seed: int = 0) -> VerificationReport
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    # The refusal of a trial count too large to run: one untouched chunk of 16 bytes per
-    # trial, the population the fuzz checks no longer draw, fails here at once, with or
-    # without a peer, and not after the grid checks and a walk through its blocks.  It
-    # is no malloc warm-up: with or without it, runs take the same faults and peak RSS.
-    np.empty(2 * trials)
+    # The refusal of a trial count too large to run: the only memory a run holds that
+    # grows with trials is a fuzz check's list of blocks, whose slices, their stops and
+    # their results peaked at about 180 bytes per block, with or without a peer.  One
+    # untouched chunk of 256 bytes per block fails here at once, and not after the grid
+    # checks and a walk through the blocks.
+    np.empty((_map_blocks(None, trials), 32))
     rng = np.random.default_rng(seed)
     grid = tuple(_guarded(name, check) for name, check in (
         ("gamma_parity", check_gamma_parity),

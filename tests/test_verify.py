@@ -28,6 +28,10 @@ GRID_CHECKS = (verify.check_gamma_parity, verify.check_k_recovery,
                verify.check_composition_closure)
 FUZZ_CHECKS = (verify.check_interval_invariance, verify.check_light_cone_preservation,
                verify.check_causal_class_absoluteness, verify.check_measured_speed_bound)
+#: Trial counts for the block-layout tests: one and several partial blocks, one and two
+#: full default blocks, one trial past each, and many blocks.
+BOUNDARY_TRIALS = (1, 7, verify._BLOCK, verify._BLOCK + 1, 2 * verify._BLOCK,
+                   2 * verify._BLOCK + 1, 100_001)
 
 
 def test_default_checks_all_pass():
@@ -489,8 +493,8 @@ def test_a_peer_killed_in_its_first_block_leaves_the_report_unchanged(monkeypatc
     _no_child_process_left()
 
 
-@pytest.mark.parametrize("block", [7, 1 << 12, 1 << 15, 1 << 17])
-@pytest.mark.parametrize("trials", [1, 7, 32_768, 32_769, 100_001])
+@pytest.mark.parametrize("block", [7, 1 << 12, 1 << 14, 1 << 15, 1 << 17])
+@pytest.mark.parametrize("trials", BOUNDARY_TRIALS)
 def test_inputs_columns_are_the_uniform_draws_from_output_j_times_trials(monkeypatch, trials,
                                                                        block):
     """Joined over the blocks, column j is rng.uniform(low, high, trials) read from
@@ -524,7 +528,7 @@ def _population_inputs(check, rng, trials):
 
 
 @pytest.mark.parametrize("seed", [0, 5, 1000])
-@pytest.mark.parametrize("trials", [1, 7, 32_768, 32_769, 100_001])
+@pytest.mark.parametrize("trials", BOUNDARY_TRIALS)
 def test_block_inputs_are_the_whole_population_draws(monkeypatch, trials, seed):
     """Each block draws its own inputs from a copy of the rng placed where they start;
     they must be the slices of the population drawn whole, and the rng must end where
@@ -561,11 +565,14 @@ def test_block_inputs_are_the_whole_population_draws(monkeypatch, trials, seed):
 
 def test_verify_memory_is_bounded_per_trial():
     """numpy reports its buffers to tracemalloc, so this is a byte count, not
-    a timing: the untouched 16-byte-per-trial chunk that refuses an impossible
-    trial count, plus one block of inputs and temporaries.  That reads 16.0
-    B/trial; with whole-population inputs, before each block drew its own, the
-    same run read 23.7, above the bound."""
+    a timing.  After a 1-trial run, which loads numpy.random, a 400,000-trial run
+    holds one block of inputs and temporaries at a time, and the untouched chunk
+    of 256 bytes per block that refuses an impossible trial count.  That reads
+    3.9 B/trial with blocks of 2**14 trials; blocks of 2**15 read 7.3, above the
+    bound.  While the refusal was a chunk of 16 bytes per trial the run read
+    16.0, and with whole-population inputs 23.7."""
     trials = 400_000
+    run_verification(trials=1, seed=0)
     was_tracing = tracemalloc.is_tracing()
     if not was_tracing:
         tracemalloc.start()
@@ -577,7 +584,7 @@ def test_verify_memory_is_bounded_per_trial():
     finally:
         if not was_tracing:
             tracemalloc.stop()
-    assert (peak - before) / trials < 20
+    assert (peak - before) / trials < 5.5
 
 
 #: Runs ``verify --trials <argv[1]>`` as its one child and prints the child's
@@ -659,25 +666,53 @@ sys.exit(cli.main(sys.argv[1:]))
 """
 
 
+#: Caps the address space of the process at 1 GiB more than it has after import, so
+#: that a regression fails on a bare MemoryError rather than fill the machine.
+_CAPPED = ("import resource\n"
+           "vm = int(open('/proc/self/status').read().split('VmSize:')[1].split()[0])\n"
+           "resource.setrlimit(resource.RLIMIT_AS, ((vm << 10) + (1 << 30),) * 2)\n")
+
+
+def _capped_verify(trials: int, plant: str = "") -> subprocess.CompletedProcess:
+    """``verify --trials <trials>`` in a fresh process that would fork a peer, its
+    address space capped (see _CAPPED), after running plant."""
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
+    return subprocess.run([sys.executable, "-c", _TWO_WORKERS.format(_CAPPED + plant),
+                           "verify", "--trials", str(trials)], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
 @pytest.mark.skipif(not hasattr(os, "fork") or sys.platform != "linux",
                     reason="needs os.fork and an enforced RLIMIT_AS")
 def test_too_many_trials_for_a_peer_fail_at_once_on_the_population():
-    """10**13 trials fail on their first population-sized allocation, as they do
-    without a peer, and not after listing 3e8 blocks.  The child's address space is
-    capped at 1 GiB more than it has after import, so that a regression would fail
-    on a bare MemoryError rather than fill the machine."""
-    limit = ("import resource\n"
-             "vm = int(open('/proc/self/status').read().split('VmSize:')[1].split()[0])\n"
-             "resource.setrlimit(resource.RLIMIT_AS, ((vm << 10) + (1 << 30),) * 2)")
-    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
+    """10**13 trials fail at once on the refusal, 256 bytes for each of their
+    610,351,563 blocks, as they do without a peer, and not after listing the
+    blocks.  While the refusal was a population-sized chunk, 16 bytes per trial,
+    it read "Unable to allocate 146. TiB"."""
     start = time.monotonic()
-    done = subprocess.run([sys.executable, "-c", _TWO_WORKERS.format(limit), "verify",
-                           "--trials", "10000000000000"], env=env, capture_output=True,
-                          text=True, timeout=60)
+    done = _capped_verify(10_000_000_000_000)
     assert time.monotonic() - start < 10
     assert (done.returncode, done.stdout) == (2, "")
-    assert done.stderr.startswith("error: out of memory: Unable to allocate 146. TiB")
+    assert done.stderr.startswith("error: out of memory: Unable to allocate 146. GiB")
     assert done.stderr.count("\n") == 1
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or sys.platform != "linux",
+                    reason="needs os.fork and an enforced RLIMIT_AS")
+def test_a_run_that_fits_gets_past_the_refusal():
+    """10**8 trials hold one block of inputs and temporaries at a time, and the
+    refusal asks for 1.5 MB, so they get to their first block under the cap; a
+    population-sized refusal asked for 1.49 GiB and exited 2.  The planted error
+    stops every fuzz check at its first block, so the run ends at once."""
+    plant = ("real_mat_vec = core.mat_vec\n"
+             "def mat_vec(m, c1, c2):\n"
+             "    if not isinstance(c2, float):\n"
+             "        raise RuntimeError('first block')\n"
+             "    return real_mat_vec(m, c1, c2)\n"
+             "core.mat_vec = mat_vec")
+    done = _capped_verify(100_000_000, plant)
+    assert (done.returncode, done.stderr) == (1, "")
+    assert done.stdout.count(" FAIL raised RuntimeError: first block\n") == 4
 
 
 def _state(pid: int) -> str | None:
@@ -735,13 +770,13 @@ def test_fuzz_blocks_do_not_refault_their_temporaries():
     """A count, not a timing: the faults a fresh 400,000-trial run takes beyond a
     1-trial run, and those of a 1,600,000-trial run.  Each process's block inputs
     and temporaries fault in once, in the calling process and in its peer (about
-    2,700 pages in all, at either size); temporaries that glibc hands back to the
-    kernel after each block, to fault them in again for the next one, took over
-    20,000 more.  While each process drew whole populations, 16 bytes per trial,
-    the extra faults grew with the trial count: about 3,700 at 400,000 trials and
-    9,800 at 4,000,000.  The process ends by os._exit: the teardown of an
-    interpreter that has forked writes to pages the fork made copy-on-write, and
-    took about 3,300 more."""
+    1,800 pages in all, at either size, and 2,600-2,700 with blocks of 2**15 trials);
+    temporaries that glibc hands back to the kernel after each block, to fault them
+    in again for the next one, took over 20,000 more.  While each process drew whole
+    populations, 16 bytes per trial, the extra faults grew with the trial count:
+    about 3,700 at 400,000 trials and 9,800 at 4,000,000.  The process ends by
+    os._exit: the teardown of an interpreter that has forked writes to pages the
+    fork made copy-on-write, and took about 3,300 more."""
     base = _verify_usage(1)[1]
     extra = _verify_usage(400_000)[1] - base
     assert extra < 10_000, f"{extra} more minor faults at 400,000 trials than at 1"
@@ -753,7 +788,8 @@ def test_fuzz_blocks_do_not_refault_their_temporaries():
 def test_verify_peak_memory_does_not_grow_with_trials():
     """No array grows with the trial count: each block draws its own inputs.  While
     each process drew whole populations, 16 bytes per trial, 1,600,000 trials peaked
-    about 24 MB above 100,000; now both peak at about 38 MB."""
+    about 24 MB above 100,000; now both peak at about 36 MB, and at about 38 MB with
+    blocks of 2**15 trials."""
     small, large = _verify_usage(100_000)[0], _verify_usage(1_600_000)[0]
     assert abs(large - small) < 2048, f"{large} KiB at 1,600,000 trials, {small} at 100,000"
 

@@ -12,10 +12,15 @@ each trial count it reports over the runs the median and the range of:
 * ``extra_faults``: minor page faults of the run beyond the median of the
   1-trial runs of the same folder.
 
-The trial counts are 1e5, 1e6 and 4e6.  Given several ``src`` folders (for
-instance a parent checkout's and this one's), each round runs every trial
-count once per folder, the folder that goes first alternating per round, and
-one JSON object keyed by folder is printed.
+The trial counts are 1e5, 1e6 and 4e6.  Each folder's ``floor_mb`` is the
+median peak of its 1-trial runs: one block of one trial and no peer, so
+little more than the interpreter, numpy and ``numpy.random``.  A peak less
+``floor_mb`` is what the fuzz checks' blocks add.
+
+Given several ``src`` folders (for instance a parent checkout's and this
+one's), each round runs every trial count once per folder, the folder that
+goes first alternating per round, and one JSON object keyed by folder is
+printed.
 
 Run with ``python tools/memory.py [--runs N] [SRC ...]``; SRC defaults to this
 checkout's ``src``.  It needs Linux (``ru_maxrss`` units), starts one
@@ -77,9 +82,11 @@ def main(argv=None) -> int:
                     samples[src][trials].append(usage_of(trials, env, cwd))
     report = {}
     for src, by_trials in samples.items():
-        base = statistics.median(faults for _, faults in by_trials[1])
-        report[src] = {f"{trials:g}": summary(runs, base)
-                       for trials, runs in by_trials.items() if trials > 1}
+        floor = by_trials[1]
+        base = statistics.median(faults for _, faults in floor)
+        report[src] = {"floor_mb": round(statistics.median(kib for kib, _ in floor) / 1024, 2),
+                       **{f"{trials:g}": summary(runs, base)
+                          for trials, runs in by_trials.items() if trials > 1}}
     print(json.dumps(report, indent=1))
     return 0
 
