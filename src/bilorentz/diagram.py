@@ -16,7 +16,9 @@ from .worldlines import Scenario, Window, Worldline, WorldlineKind, transform_wo
 _MARGIN = 40.0
 _AXIS_LABELS = ("ξ₁", "ξ₂")
 _TRANSFORMED_AXIS_LABELS = ("η₁", "η₂")
-_STROKE = {WorldlineKind.PARTICLE: "blue", WorldlineKind.LIGHT_RAY: "red"}
+#: The class and the stroke colour of each kind's line.
+_LINE = {WorldlineKind.PARTICLE: ("particle", "blue"),
+         WorldlineKind.LIGHT_RAY: ("lightray", "red")}
 
 
 def escape(text: str) -> str:
@@ -82,10 +84,9 @@ _set_style, _set_window, _set_elements = _setters(SvgDocument)
 
 
 def _fmt(value: float, decimals: int) -> str:
-    r = round(value, decimals)
-    if r == 0.0:
-        r = 0.0  # normalize -0.0
-    return f"{r:.{decimals}f}"
+    text = f"{value:.{decimals}f}"
+    # a negative that rounds to zero prints unsigned, as 0.0 does
+    return text[1:] if text[0] == "-" and not text.strip("-0.") else text
 
 
 def clip_to_window(wl: Worldline, window: Window) -> tuple[TwoVector, TwoVector] | None:
@@ -94,12 +95,10 @@ def clip_to_window(wl: Worldline, window: Window) -> tuple[TwoVector, TwoVector]
     Returns the endpoints of the clipped segment, or None when the line
     misses the window entirely.
     """
+    anchor, direction = wl.anchor, wl.direction
     smin, smax = -math.inf, math.inf
-    axes = (
-        (wl.anchor.c1, wl.direction.c1, window.lo.c1, window.hi.c1),
-        (wl.anchor.c2, wl.direction.c2, window.lo.c2, window.hi.c2),
-    )
-    for a, d, lo, hi in axes:
+    for a, d, lo, hi in ((anchor.c1, direction.c1, window.lo.c1, window.hi.c1),
+                         (anchor.c2, direction.c2, window.lo.c2, window.hi.c2)):
         if d == 0.0:
             if not lo <= a <= hi:
                 return None
@@ -107,16 +106,15 @@ def clip_to_window(wl: Worldline, window: Window) -> tuple[TwoVector, TwoVector]
         s0, s1 = (lo - a) / d, (hi - a) / d
         if s0 > s1:
             s0, s1 = s1, s0
-        smin = max(smin, s0)
-        smax = min(smax, s1)
+        if s0 > smin:   # smin = max(smin, s0), without the call
+            smin = s0
+        if s1 < smax:
+            smax = s1
     if smin > smax:
         return None
     # direction is non-zero, so both bounds are finite by now
-    p = TwoVector(wl.anchor.c1 + smin * wl.direction.c1,
-                  wl.anchor.c2 + smin * wl.direction.c2)
-    q = TwoVector(wl.anchor.c1 + smax * wl.direction.c1,
-                  wl.anchor.c2 + smax * wl.direction.c2)
-    return p, q
+    return (TwoVector(anchor.c1 + smin * direction.c1, anchor.c2 + smin * direction.c2),
+            TwoVector(anchor.c1 + smax * direction.c1, anchor.c2 + smax * direction.c2))
 
 
 def _render_one(title: str, worldlines: tuple[Worldline, ...], window: Window,
@@ -131,7 +129,7 @@ def _render_one(title: str, worldlines: tuple[Worldline, ...], window: Window,
          f'fill="none" stroke="black" stroke-width="1"/>'),
     ]
 
-    doc = SvgDocument(style=style, window=window, elements=())
+    doc = SvgDocument(style, window, ())
     # zero lines for both coordinates, drawn only when inside the window
     vx = hy = None
     if window.lo.c2 <= 0.0 <= window.hi.c2:
@@ -163,15 +161,16 @@ def _render_one(title: str, worldlines: tuple[Worldline, ...], window: Window,
         if seg is None:
             continue
         (p1x, p1y), (p2x, p2y) = doc.to_pixel(seg[0]), doc.to_pixel(seg[1])
+        kind, stroke = _LINE[wl.kind]
         elements.append(
-            f'<line class="worldline {wl.kind.value}" x1="{_fmt(p1x, dp)}" y1="{_fmt(p1y, dp)}" '
-            f'x2="{_fmt(p2x, dp)}" y2="{_fmt(p2y, dp)}" stroke="{_STROKE[wl.kind]}" '
+            f'<line class="worldline {kind}" x1="{_fmt(p1x, dp)}" y1="{_fmt(p1y, dp)}" '
+            f'x2="{_fmt(p2x, dp)}" y2="{_fmt(p2y, dp)}" stroke="{stroke}" '
             f'stroke-width="1.5"><title>{escape(wl.label)}</title></line>')
         drawn += 1
     if drawn == 0:
         raise EmptyWindowError(f"no worldline of {title!r} intersects the window")
 
-    return SvgDocument(style=style, window=window, elements=tuple(elements))
+    return SvgDocument(style, window, tuple(elements))
 
 
 def render_pair(scenario: Scenario,
@@ -203,5 +202,4 @@ def annotate_events(doc: SvgDocument,
         added.append(
             f'<text class="event-label" x="{_fmt(px + 6.0, dp)}" '
             f'y="{_fmt(py - 6.0, dp)}" font-size="13">{escape(label)}</text>')
-    return SvgDocument(style=doc.style, window=doc.window,
-                       elements=doc.elements + tuple(added))
+    return SvgDocument(doc.style, doc.window, doc.elements + tuple(added))

@@ -52,6 +52,8 @@ def _made(where: str, make, *args):
 
 
 def _number(value, where: str) -> float:
+    if value.__class__ is float:    # most numbers json gives: no checks or float() needed
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioFormatError(f"{where} must be a number, got {value!r}")
     try:
@@ -94,15 +96,19 @@ def _transform_to_dict(t: Transform) -> dict:
     return {"branch": t.branch.value, "tau": t.tau, "k": t.k, "vel": vel}
 
 
+_KINDS = {kind.value: kind for kind in WorldlineKind}
+
+
 def _worldline_from_dict(obj: dict, index: int) -> Worldline:
     where = f"worldlines[{index}]"
     _require_keys(obj, {"anchor", "direction", "kind", "label"}, set(), where)
-    kind = _text(obj["kind"], f"{where}.kind")
-    if kind not in ("particle", "lightray"):
-        raise ScenarioFormatError(f'{where}.kind must be "particle" or "lightray", got {kind!r}')
+    kind = _KINDS.get(_text(obj["kind"], f"{where}.kind"))
+    if kind is None:
+        raise ScenarioFormatError(
+            f'{where}.kind must be "particle" or "lightray", got {obj["kind"]!r}')
     return _made(where, Worldline, _vector(obj["anchor"], f"{where}.anchor"),
                  _vector(obj["direction"], f"{where}.direction"),
-                 _text(obj["label"], f"{where}.label"), WorldlineKind(kind))
+                 _text(obj["label"], f"{where}.label"), kind)
 
 
 def scenario_from_dict(data: dict) -> Scenario:
@@ -125,8 +131,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         _require_keys(obj, {"at", "label"}, set(), f"events[{i}]")
         events.append((_vector(obj["at"], f"events[{i}].at"),
                        _text(obj["label"], f"events[{i}].label")))
-    return Scenario(name=name, transform=transform, worldlines=worldlines,
-                    window=window, events=tuple(events))
+    return Scenario(name, transform, worldlines, window, tuple(events))
 
 
 def scenario_to_dict(s: Scenario) -> dict:
@@ -156,6 +161,8 @@ def load_scenario(path: str | Path) -> Scenario:
 
 
 def save_scenario(s: Scenario, path: str | Path) -> None:
+    """Write the scenario as JSON, indented by 2 with sorted keys, in one write.
+    A scenario that scenario_to_dict refuses leaves the file at ``path`` untouched."""
+    text = json.dumps(scenario_to_dict(s), indent=2, sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(scenario_to_dict(s), f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(text)

@@ -21,6 +21,13 @@ class LightRayViolationError(ValueError):
     """A light-ray worldline stopped satisfying |direction.c1| == |direction.c2|."""
 
 
+def _text(value, where: str) -> str:
+    """value, refused unless it is a str, in the words of scenario_io._text."""
+    if not isinstance(value, str):
+        raise ValueError(f"{where} must be a string, got {value!r}")
+    return value
+
+
 class WorldlineKind(Enum):
     PARTICLE = "particle"
     LIGHT_RAY = "lightray"
@@ -47,7 +54,7 @@ class Worldline(_Value):
                     f"is off the light cone by {gap}")
         _set_anchor(self, anchor)
         _set_direction(self, direction)
-        _set_label(self, label)
+        _set_label(self, _text(label, "label"))
         _set_kind(self, kind)
 
 
@@ -80,11 +87,14 @@ class Scenario(_Value):
 
     def __init__(self, name: str, transform: Transform, worldlines: tuple[Worldline, ...],
                  window: Window, events: tuple[tuple[TwoVector, str], ...] = ()):
-        _set_name(self, name)
+        events = tuple(events)
+        for i, (_, label) in enumerate(events):
+            _text(label, f"events[{i}].label")
+        _set_name(self, _text(name, "name"))
         _set_transform(self, transform)
         _set_worldlines(self, tuple(worldlines))
         _set_window(self, window)
-        _set_events(self, tuple(events))
+        _set_events(self, events)
 
 
 _set_name, _set_transform, _set_worldlines, _set_window, _set_events = _setters(Scenario)
@@ -97,8 +107,7 @@ def transform_worldline(t: Transform, w: Worldline) -> Worldline:
     family-constructed transforms never trigger this because the light cone
     spans the eigenvectors of their matrices.
     """
-    return Worldline(anchor=apply(t, w.anchor), direction=apply(t, w.direction),
-                     label=w.label, kind=w.kind)
+    return Worldline(apply(t, w.anchor), apply(t, w.direction), w.label, w.kind)
 
 
 def coordinate_velocity(w: Worldline) -> CoordinateSpeed:

@@ -4,6 +4,7 @@ import math
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bilorentz import (
     DiagramStyle,
@@ -22,6 +23,7 @@ from bilorentz import (
     render_pair,
     transform_worldline,
 )
+from bilorentz.diagram import _fmt
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -153,3 +155,40 @@ def test_custom_decimal_places_are_used():
     svg = original.to_svg()
     assert "40.000" in svg
     assert ".000000" not in svg
+
+
+def fmt_reference(value, decimals):
+    """The formula _fmt replaced: round first, then drop the sign of a zero."""
+    r = round(value, decimals)
+    if r == 0.0:
+        r = 0.0
+    return f"{r:.{decimals}f}"
+
+
+@settings(max_examples=2000, deadline=None)
+@given(value=st.floats(allow_nan=False, allow_infinity=False),
+       decimals=st.integers(min_value=1, max_value=10))
+def test_fmt_matches_round_then_format(value, decimals):
+    assert _fmt(value, decimals) == fmt_reference(value, decimals)
+
+
+@pytest.mark.parametrize("value, decimals, text", [
+    (5e-7, 6, "0.000000"),      # half-way in decimal, just below it in binary
+    (-5e-7, 6, "0.000000"),
+    (-4e-7, 6, "0.000000"),
+    (-0.0049, 2, "0.00"),
+    (-1e-300, 10, "0.0000000000"),
+    (-0.0, 6, "0.000000"),
+    (5e-324, 6, "0.000000"),
+    (-5e-324, 1, "0.0"),
+    (0.125, 2, "0.12"),         # exactly half-way: both round half to even
+    (-0.375, 2, "-0.38"),
+    (2.675, 2, "2.67"),         # 2.67499999... in binary
+    (-2.675, 2, "-2.67"),
+    (-0.5, 1, "-0.5"),
+    (-10.0, 1, "-10.0"),
+    (1e300, 1, f"{int(1e300)}.0"),  # the exact decimal value of the double
+    (-1e300, 3, f"-{int(1e300)}.000"),
+])
+def test_fmt_edge_cases(value, decimals, text):
+    assert _fmt(value, decimals) == text == fmt_reference(value, decimals)

@@ -8,12 +8,18 @@ import pytest
 from bilorentz import (
     Scenario,
     ScenarioFormatError,
+    TwoVector,
+    Window,
+    Worldline,
+    WorldlineKind,
     build_fig2_scenario,
     build_fig3_scenario,
     build_fig4_scenario,
     compose,
     load_scenario,
+    make_l,
     make_lambda,
+    make_lambda_infinite_limit,
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
@@ -212,3 +218,52 @@ def test_derived_transform_not_serializable():
                       worldlines=s.worldlines, window=s.window)
     with pytest.raises(ScenarioFormatError):
         scenario_to_dict(broken)
+
+
+def test_refused_save_leaves_the_file_untouched(tmp_path):
+    path = tmp_path / "fig2.json"
+    save_scenario(build_fig2_scenario(), path)
+    before = path.read_bytes()
+    s = build_fig3_scenario()
+    derived = Scenario(s.name, compose(make_lambda(1, 1.0, 0.1), make_lambda(1, 1.0, 0.1)),
+                       s.worldlines, s.window)
+    with pytest.raises(ScenarioFormatError, match="^derived transforms are not serializable$"):
+        save_scenario(derived, path)
+    assert path.read_bytes() == before
+
+
+#: Text that json escapes: non-ASCII, a quote, a backslash, control characters, and
+#: markup that the SVG title must escape.
+AWKWARD = 'ξ₁ "quoted" back\\slash \x00\x1f\t\n\u2028 </title> & \U0001f600'
+
+
+def _awkward_scenario() -> Scenario:
+    origin = TwoVector(0.0, 0.0)
+    return Scenario(
+        AWKWARD, make_l(-1, 1.0, 2.0),
+        (Worldline(origin, TwoVector(1.0, 1.0), AWKWARD, WorldlineKind.LIGHT_RAY),
+         Worldline(TwoVector(-0.0, 1e-300), TwoVector(1.0, -0.1), "é")),
+        Window(TwoVector(-3.0, -2.5), TwoVector(3.0, 1e300)),
+        ((origin, AWKWARD), (TwoVector(0.5, -0.25), "")))
+
+
+def _infinity_scenario() -> Scenario:
+    s = build_fig3_scenario()
+    return Scenario("inf", make_lambda_infinite_limit(-1, -0.25), s.worldlines, s.window)
+
+
+@pytest.mark.parametrize("build", [build_fig2_scenario, build_fig3_scenario,
+                                   build_fig4_scenario, _awkward_scenario, _infinity_scenario],
+                         ids=["fig2", "fig3", "fig4", "awkward-text", "infinity"])
+def test_saved_bytes_are_the_streaming_json_dump(tmp_path, build):
+    # save_scenario encodes the whole text before its one write; the bytes must be
+    # those of the stdlib's streaming json.dump into the open file, plus a newline.
+    s = build()
+    reference = tmp_path / "reference.json"
+    with open(reference, "w", encoding="utf-8") as f:
+        json.dump(scenario_to_dict(s), f, indent=2, sort_keys=True)
+        f.write("\n")
+    path = tmp_path / "saved.json"
+    save_scenario(s, path)
+    assert path.read_bytes() == reference.read_bytes()
+    assert load_scenario(path) == s

@@ -165,6 +165,38 @@ def test_copy_and_pickle_validate_worldline_values_again():
                 again(broken)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: Worldline(ORIGIN, TwoVector(1, 0.5), 5), "^label must be a string, got 5$"),
+    (lambda: Worldline(ORIGIN, TwoVector(1, 1), None, WorldlineKind.LIGHT_RAY),
+     "^label must be a string, got None$"),
+    (lambda: Scenario(7, T, (WL,), WIN), "^name must be a string, got 7$"),
+    (lambda: Scenario("demo", T, (WL,), WIN, ((ORIGIN, "X"), (ORIGIN, None))),
+     r"^events\[1\]\.label must be a string, got None$"),
+    (lambda: Scenario("demo", T, (WL,), WIN, [(ORIGIN, b"X")]),
+     r"^events\[0\]\.label must be a string, got b'X'$"),
+], ids=["worldline-int", "lightray-none", "scenario-name", "event-none", "event-bytes"])
+def test_labels_and_names_must_be_strings(build, message):
+    # save_scenario would write them, load_scenario would refuse the file, and the
+    # diagram would fail escaping them; the constructors refuse them instead.
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_copy_and_pickle_refuse_a_label_or_name_that_is_not_a_string():
+    # As for TwoVector above: a field written around __init__ fails its check again.
+    labelled = Worldline(ORIGIN, TwoVector(1.0, 0.5))
+    worldlines._set_label(labelled, 5)
+    named, evented = value(Scenario), value(Scenario)
+    worldlines._set_name(named, 7)
+    worldlines._set_events(evented, ((ORIGIN, None),))
+    for broken, message in ((labelled, "^label must be a string, got 5$"),
+                            (named, "^name must be a string, got 7$"),
+                            (evented, r"^events\[0\]\.label must be a string, got None$")):
+        for again in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+            with pytest.raises(ValueError, match=message):
+                again(broken)
+
+
 @classes
 def test_pickle_round_trip(cls):
     v = value(cls)
