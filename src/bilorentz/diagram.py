@@ -17,8 +17,8 @@ _MARGIN = 40.0
 _AXIS_LABELS = ("ξ₁", "ξ₂")
 _TRANSFORMED_AXIS_LABELS = ("η₁", "η₂")
 #: The class and the stroke colour of each kind's line.
-_LINE = {WorldlineKind.PARTICLE: ("particle", "blue"),
-         WorldlineKind.LIGHT_RAY: ("lightray", "red")}
+_LINE = {kind: (kind.value, stroke)
+         for kind, stroke in ((WorldlineKind.PARTICLE, "blue"), (WorldlineKind.LIGHT_RAY, "red"))}
 
 
 def escape(text: str) -> str:
@@ -106,7 +106,8 @@ def clip_to_window(wl: Worldline, window: Window) -> tuple[TwoVector, TwoVector]
         s0, s1 = (lo - a) / d, (hi - a) / d
         if s0 > s1:
             s0, s1 = s1, s0
-        if s0 > smin:   # smin = max(smin, s0), without the call
+        # comparisons, not max/min: this runs per line, and a call costs more
+        if s0 > smin:
             smin = s0
         if s1 < smax:
             smax = s1

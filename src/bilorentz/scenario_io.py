@@ -24,7 +24,7 @@ import math
 from pathlib import Path
 
 from .core import BranchKind, Transform, TwoVector, make_transform
-from .worldlines import Scenario, Window, Worldline, WorldlineKind
+from .worldlines import Scenario, Window, Worldline, WorldlineKind, _string
 
 
 class ScenarioFormatError(ValueError):
@@ -71,9 +71,10 @@ def _vector(value, where: str) -> TwoVector:
 
 
 def _text(value, where: str) -> str:
-    if not isinstance(value, str):
-        raise ScenarioFormatError(f"{where} must be a string, got {value!r}")
-    return value
+    try:
+        return _string(value, where)
+    except ValueError as exc:
+        raise ScenarioFormatError(str(exc)) from None
 
 
 def _transform_from_dict(obj: dict) -> Transform:

@@ -21,8 +21,8 @@ class LightRayViolationError(ValueError):
     """A light-ray worldline stopped satisfying |direction.c1| == |direction.c2|."""
 
 
-def _text(value, where: str) -> str:
-    """value, refused unless it is a str, in the words of scenario_io._text."""
+def _string(value, where: str) -> str:
+    """value, refused with a ValueError unless it is a str; scenario_io._text uses it too."""
     if not isinstance(value, str):
         raise ValueError(f"{where} must be a string, got {value!r}")
     return value
@@ -54,7 +54,7 @@ class Worldline(_Value):
                     f"is off the light cone by {gap}")
         _set_anchor(self, anchor)
         _set_direction(self, direction)
-        _set_label(self, _text(label, "label"))
+        _set_label(self, _string(label, "label"))
         _set_kind(self, kind)
 
 
@@ -89,8 +89,8 @@ class Scenario(_Value):
                  window: Window, events: tuple[tuple[TwoVector, str], ...] = ()):
         events = tuple(events)
         for i, (_, label) in enumerate(events):
-            _text(label, f"events[{i}].label")
-        _set_name(self, _text(name, "name"))
+            _string(label, f"events[{i}].label")
+        _set_name(self, _string(name, "name"))
         _set_transform(self, transform)
         _set_worldlines(self, tuple(worldlines))
         _set_window(self, window)

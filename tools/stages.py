@@ -5,11 +5,11 @@ The op is the benchmark's (``bench/workloads.py``, ``ScenarioRender._op``):
 ``load_scenario``, ``render_pair``, ``annotate_events`` (both documents, with
 the events of the transformed one mapped through ``core.apply``) and
 ``to_svg`` (both documents).  Its inputs are the op's own:
-``bench/gen.py``'s ``scenario_dicts`` for the seed, as many as
+``bench/gen.py``'s ``scenario_dicts`` for seed ``SEED``, as many as
 ``ScenarioRender.SIZE``, plus the three built-in scenarios.
 
 Each run is a fresh ``python`` that imports the package from one ``src``
-folder, then runs the whole op on every input ``--reps`` times, timing each
+folder, then runs the whole op on every input ``REPS`` times, timing each
 stage with ``perf_counter_ns``.  Per stage it keeps each input's minimum and
 sums those minima over the inputs; divided by the number of inputs this is
 the stage's cost per op in µs.  ``op`` is the same for the whole op.
@@ -19,7 +19,7 @@ one's), each round runs every folder once, and the order of the folders
 reverses every other round.  One JSON object keyed by folder is printed, with
 the median and the quartiles over the runs of each stage's µs per op.
 
-Run with ``python tools/stages.py [--runs N] [--seed S] [--reps R] [SRC ...]``;
+Run with ``python tools/stages.py [--runs N] [SRC ...]``;
 SRC defaults to this checkout's ``src``.  It reads ``bench/`` and changes
 nothing there, writes its scenario files to a temporary folder, starts one
 process at a time and is not part of the test suite.
@@ -39,6 +39,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 BENCH = ROOT / "bench"
+SEED = 9001
+REPS = 20
 STAGES = ("scenario_from_dict", "scenario_to_dict", "save_scenario", "load_scenario",
           "render_pair", "annotate_events", "to_svg", "op")
 CHILD = """\
@@ -85,11 +87,11 @@ print(json.dumps([sum(column) / len(best) / 1e3 for column in zip(*best.values()
 """
 
 
-def stage_us(src: str, seed: int, reps: int, cwd: str) -> list[float]:
+def stage_us(src: str, cwd: str) -> list[float]:
     """µs per op of each stage, in STAGES order, from one fresh process."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join((str(Path(src).resolve()), str(BENCH))),
            "PYTHONDONTWRITEBYTECODE": "1"}
-    done = subprocess.run([sys.executable, "-c", CHILD, str(seed), str(reps), cwd], env=env,
+    done = subprocess.run([sys.executable, "-c", CHILD, str(SEED), str(REPS), cwd], env=env,
                           cwd=cwd, capture_output=True, text=True, check=True)
     return json.loads(done.stdout)
 
@@ -102,15 +104,13 @@ def summary(values) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--runs", type=int, default=5)
-    parser.add_argument("--seed", type=int, default=9001)
-    parser.add_argument("--reps", type=int, default=20)
     parser.add_argument("src", nargs="*", default=[str(SRC)])
     args = parser.parse_args(argv)
     samples = {src: [] for src in args.src}
     with tempfile.TemporaryDirectory() as cwd:
         for round_ in range(args.runs):
             for src in args.src if round_ % 2 == 0 else args.src[::-1]:
-                samples[src].append(stage_us(src, args.seed, args.reps, cwd))
+                samples[src].append(stage_us(src, cwd))
     report = {src: {stage: summary([run[j] for run in runs]) for j, stage in enumerate(STAGES)}
               for src, runs in samples.items()}
     print(json.dumps(report, indent=1))
