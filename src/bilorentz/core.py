@@ -320,9 +320,19 @@ def _mat_transpose(m: Mat) -> Mat:
 # ---------------------------------------------------------------------------
 
 def mat_vec(m: Mat, c1, c2):
-    """Components of m @ (c1, c2); c1 and c2 may be floats or ndarrays."""
+    """Components of m @ (c1, c2); c1 and c2 may be floats or ndarrays.
+
+    Like quad_form and form_size, it adds into the product it made first: numpy
+    reuses the temporary of a*b + c in place only for arrays of at least 256 KiB,
+    and verify's blocks are 128 KiB.  The operations and their order are those of
+    a * c1 + b * c2, so the values are too, and no input is written.
+    """
     (a, b), (c, d) = m
-    return a * c1 + b * c2, c * c1 + d * c2
+    e1 = a * c1
+    e1 += b * c2
+    e2 = c * c1
+    e2 += d * c2
+    return e1, e2
 
 
 def apply(t: Transform, x: TwoVector) -> TwoVector:
@@ -408,16 +418,26 @@ def refit(t: Transform, k: float = 1.0) -> Transform:
 # ---------------------------------------------------------------------------
 
 def quad_form(g: Mat, c1, c2):
-    """(c1, c2)^T g (c1, c2); c1 and c2 may be floats or ndarrays."""
+    """(c1, c2)^T g (c1, c2); c1 and c2 may be floats or ndarrays (see mat_vec)."""
     (g11, g12), (g21, g22) = g
-    return (g11 * c1 + g12 * c2) * c1 + (g21 * c1 + g22 * c2) * c2
+    p = g11 * c1
+    p += g12 * c2
+    p *= c1
+    q = g21 * c1
+    q += g22 * c2
+    q *= c2
+    p += q
+    return p
 
 
 def form_size(g: Mat, c1, c2):
     """(|g11| + |g12| + |g21| + |g22|) * (c1**2 + c2**2), an upper bound on the
     summed magnitudes of the terms quad_form adds; c1 and c2 may be floats or ndarrays."""
     (g11, g12), (g21, g22) = g
-    return (abs(g11) + abs(g12) + abs(g21) + abs(g22)) * (c1 * c1 + c2 * c2)
+    s = c1 * c1
+    s += c2 * c2
+    # Not s *= ...: with a NaN on both sides, x * y and y * x keep different NaN signs.
+    return (abs(g11) + abs(g12) + abs(g21) + abs(g22)) * s
 
 
 def interval_squared(d: TwoVector, g: Metric) -> float:

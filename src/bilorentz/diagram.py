@@ -38,6 +38,10 @@ class DiagramStyle(_Value):
     __slots__ = ("width_px", "height_px", "decimal_places")
 
     def __init__(self, width_px: int = 480, height_px: int = 480, decimal_places: int = 6):
+        # An integer is what has __index__, numpy's included.  A bool has it too, but
+        # _fmt's format spec would read ".Truef".
+        if decimal_places.__class__ is bool or not hasattr(decimal_places, "__index__"):
+            raise ValueError(f"decimal_places must be an integer, got {decimal_places!r}")
         if decimal_places < 1:
             raise ValueError("decimal_places must be >= 1")
         if width_px <= 2 * _MARGIN or height_px <= 2 * _MARGIN:

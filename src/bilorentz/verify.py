@@ -76,16 +76,20 @@ _set_seed, _set_trials, _set_checks = _setters(VerificationReport)
 
 _K_VALUES = (-1.0, -0.5, 0.5, 1.0)
 
-#: Trials per slice in the fuzz checks: 128 KiB per float64 temporary.  A check holds
-#: about ten block-sized arrays at once (its columns, s_before, floor, the image
-#: components and quad_form's temporaries), about 1.45 MB, where blocks of 2**15 held
-#: 3.4 MB.  On a 2-core host (2 MiB L2 per core), fresh verify processes and their
-#: peers peaked at 36.1 MB RSS at 1e5, 1e6 and 4e6 trials alike, against 38.0-38.2 MB
-#: at 2**15 and 34.7 MB for a 1-trial run.  The twice as many ufunc calls cost time
-#: that the smaller working set did not win back there: warm 1e6 runs took 4-6%
-#: longer than at 2**15 (minimum of 12: 244 against 235 ms with the peer, 417 against
-#: 393 ms in one process).  2**13 peaked at 35.4 MB and took about 10% longer again
-#: (267 and 462 ms).
+#: Trials per slice in the fuzz checks: 128 KiB per float64 temporary.  numpy reuses
+#: the temporary of a*b + c in place only for arrays of at least 256 KiB, so here each
+#: binary operation would allocate a fresh output; core's kernels and the checks' own
+#: tails write into arrays they just made instead.  A check then holds at most about
+#: twelve block-sized arrays at once, about 1.5 MB (traced: 9 in interval_invariance,
+#: 7 in the light cone, 11.6 in causal_class_absoluteness, 4 in measured_speed_bound),
+#: where blocks of 2**15 held 3.4 MB.  On a 2-core host (2 MiB L2 per core), fresh
+#: verify processes and their peers peaked at 36.1 MB RSS at 1e5, 1e6 and 4e6 trials
+#: alike, against 38.0-38.2 MB at 2**15 and 34.7 MB for a 1-trial run.  Warm 1e6 runs
+#: (minimum of 12, CPU model 143) took 166 ms with the peer and 294-305 ms in one
+#: process, against 168 and 317 ms at 2**15 and 182 and 336 ms at 2**13.  Before the
+#: kernels wrote in place, 2**14 took 199-203 and 378-380 ms, slower than 2**15 (191
+#: and 355 ms): the twice as many fresh outputs cost more than the smaller working set
+#: won back.
 _BLOCK = 1 << 14
 
 #: Processes that share a fuzz check's slices, the calling one among them: one per
@@ -134,7 +138,7 @@ def _map_blocks(fn, trials: int) -> list | int:
     # and free() gives the free top of the heap back to the kernel once it passes the
     # trim threshold, so the next block faults the same pages in again.  One untouched
     # chunk of eight blocks' worth, freed at once, keeps a block's working set of about
-    # 1.45 MB in the process from the first block on.
+    # 1.5 MB in the process from the first block on.
     np.empty(8 * _BLOCK)
     blocks = list(map(slice, starts, [*starts[1:], trials]))
     peer = _PEER.get()
@@ -432,11 +436,14 @@ def check_interval_invariance(rng: np.random.Generator, trials: int) -> CheckRes
         s_before = core.quad_form(STANDARD_METRIC.g, b1, b2)
         floor = np.maximum(1.0, np.abs(s_before))
 
-        def gaps():
-            for m, gp in pairs:
-                s_after = core.quad_form(gp, *core.mat_vec(m, b1, b2))
-                yield np.abs(s_after - s_before) / np.maximum(floor, np.abs(s_after))
-        return _worst(gaps())
+        def gap(pair):
+            m, gp = pair
+            s_after = core.quad_form(gp, *core.mat_vec(m, b1, b2))
+            diff = np.subtract(s_after, s_before)
+            np.abs(diff, out=diff)
+            np.abs(s_after, out=s_after)
+            return np.divide(diff, np.maximum(floor, s_after, out=s_after), out=diff)
+        return _worst(map(gap, pairs))
     return CheckResult("interval_invariance", _worst(_map_blocks(block_gap, trials)), 1e-9)
 
 
@@ -456,8 +463,13 @@ def check_light_cone_preservation(rng: np.random.Generator, trials: int) -> Chec
         r, q = inputs(block)
         c1 = np.copysign(r, q)
         c2 = np.where(np.abs(q) < 0.5, -c1, c1)
-        return _worst(np.abs(np.abs(e1) - np.abs(e2))
-                      for e1, e2 in (core.mat_vec(m, c1, c2) for m in matrices))
+
+        def gap(m):
+            e1, e2 = core.mat_vec(m, c1, c2)
+            np.abs(e1, out=e1)
+            e1 -= np.abs(e2, out=e2)
+            return np.abs(e1, out=e1)
+        return _worst(map(gap, matrices))
     return CheckResult("light_cone_preservation", _worst(_map_blocks(block_gap, trials)), 1e-12)
 
 
@@ -491,7 +503,12 @@ def check_measured_speed_bound(rng: np.random.Generator, trials: int) -> CheckRe
 
     def block_speed(block):
         v, = inputs(block)
-        return _worst(np.abs(np.divide(*core.mat_vec(m, 1.0, v))) for m in matrices)
+
+        def speed(m):
+            e1, e2 = core.mat_vec(m, 1.0, v)
+            e1 /= e2
+            return np.abs(e1, out=e1)
+        return _worst(map(speed, matrices))
     return CheckResult("measured_speed_bound", _worst(_map_blocks(block_speed, trials)),
                        1.0 - 1e-9)
 

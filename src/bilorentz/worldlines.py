@@ -88,7 +88,9 @@ class Scenario(_Value):
     def __init__(self, name: str, transform: Transform, worldlines: tuple[Worldline, ...],
                  window: Window, events: tuple[tuple[TwoVector, str], ...] = ()):
         events = tuple(events)
-        for i, (_, label) in enumerate(events):
+        for i, (at, label) in enumerate(events):
+            if not isinstance(at, TwoVector):
+                raise ValueError(f"events[{i}].at must be a TwoVector, got {at!r}")
             _string(label, f"events[{i}].label")
         _set_name(self, _string(name, "name"))
         _set_transform(self, transform)

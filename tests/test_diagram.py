@@ -1,8 +1,11 @@
 """SVG rendering: determinism, slope fidelity, annotations, error paths."""
 
+import copy
 import math
+import pickle
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,7 +26,7 @@ from bilorentz import (
     render_pair,
     transform_worldline,
 )
-from bilorentz.diagram import _fmt
+from bilorentz.diagram import _fmt, _set_decimal_places
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -147,6 +150,32 @@ def test_style_validation():
         DiagramStyle(decimal_places=0)
     with pytest.raises(ValueError):
         DiagramStyle(width_px=50)
+
+
+@pytest.mark.parametrize("places", [6.0, True, False, np.float64(3.0), np.True_, "6", None],
+                         ids=["float", "true", "false", "numpy-float", "numpy-bool", "str", "none"])
+def test_decimal_places_must_be_an_integer(places):
+    # Each of these constructed before, and render_pair then failed on its format spec.
+    with pytest.raises(ValueError, match=r"^decimal_places must be an integer, got "):
+        DiagramStyle(decimal_places=places)
+
+
+def test_copy_and_pickle_refuse_decimal_places_that_is_not_an_integer():
+    for places in (6.0, True):
+        broken = DiagramStyle()
+        _set_decimal_places(broken, places)
+        for again in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+            with pytest.raises(ValueError, match="^decimal_places must be an integer"):
+                again(broken)
+
+
+def test_numpy_integer_decimal_places_render_as_the_int():
+    style = DiagramStyle(decimal_places=np.int64(3))
+    for again in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+        assert again(style) == style == DiagramStyle(decimal_places=3)
+    svgs = [doc.to_svg() for doc in render_pair(build_fig3_scenario(), style)]
+    assert svgs == [doc.to_svg() for doc in render_pair(build_fig3_scenario(),
+                                                        DiagramStyle(decimal_places=3))]
 
 
 def test_custom_decimal_places_are_used():

@@ -197,6 +197,25 @@ def test_copy_and_pickle_refuse_a_label_or_name_that_is_not_a_string():
                 again(broken)
 
 
+@pytest.mark.parametrize("events, message", [
+    ((((0.0, 0.0), "X"),), r"^events\[0\]\.at must be a TwoVector, got \(0\.0, 0\.0\)$"),
+    (((ORIGIN, "X"), (None, "Y")), r"^events\[1\]\.at must be a TwoVector, got None$"),
+    ([(WIN, "X")], r"^events\[0\]\.at must be a TwoVector, got Window\("),
+], ids=["pair", "none", "window"])
+def test_event_positions_must_be_two_vectors(events, message):
+    # annotate_events and save_scenario would fail on them with AttributeError.
+    with pytest.raises(ValueError, match=message):
+        Scenario("demo", T, (WL,), WIN, events)
+
+
+def test_copy_and_pickle_refuse_an_event_position_that_is_not_a_two_vector():
+    broken = value(Scenario)
+    worldlines._set_events(broken, (((0.0, 0.0), "X"),))
+    for again in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+        with pytest.raises(ValueError, match=r"^events\[0\]\.at must be a TwoVector"):
+            again(broken)
+
+
 @classes
 def test_pickle_round_trip(cls):
     v = value(cls)

@@ -2,7 +2,8 @@
 
 Every single operator site of core.py becomes one mutant:
 
-* ``+`` <-> ``-`` and ``*`` <-> ``/`` in a binary operation,
+* ``+`` <-> ``-`` and ``*`` <-> ``/`` in a binary operation, and ``+=`` <-> ``-=``
+  and ``*=`` <-> ``/=`` in an augmented assignment,
 * ``<`` <-> ``<=``, ``>`` <-> ``>=`` and ``==`` <-> ``!=`` in a comparison,
 * a unary minus dropped.
 
@@ -47,10 +48,11 @@ SWAPS = {
 
 def _sites(tree: ast.AST) -> list:
     """(node, slot) per mutation site in a fixed walk order; slot is the index of
-    the operator in a comparison chain, or None for a binary or unary operation."""
+    the operator in a comparison chain, or None for a binary, augmented or unary
+    operation."""
     found = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.BinOp) and type(node.op) in SWAPS:
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and type(node.op) in SWAPS:
             found.append((node, None))
         elif isinstance(node, ast.Compare):
             found.extend((node, i) for i, op in enumerate(node.ops) if type(op) in SWAPS)
