@@ -3,11 +3,11 @@
 Events and displacements are pairs (c1, c2) in length units; velocities are
 dimensionless (units of c).  Two constructor families exist:
 
-* the symmetric family ``make_lambda(tau, k, v)``, defined for k*v**2 < 1,
-  which contains the standard Lorentz boosts at k = 1, and
-* the antisymmetric family ``make_l(tau, k, w)``, defined for k*w**2 > 1,
-  which for k = 1 equals a coordinate swap composed with a standard boost
-  at the inverse velocity 1/w.
+* the symmetric family ``make_lambda(tau, k, v)``, defined for k*v**2 < 1
+  and |v| != 1, which contains the standard Lorentz boosts at k = 1, and
+* the antisymmetric family ``make_l(tau, k, w)``, defined for k*w**2 > 1
+  and |w| != 1, which for k = 1 equals a coordinate swap composed with a
+  standard boost at the inverse velocity 1/w.
 
 All operations are pure functions on immutable, validated values (see _Value).
 """
@@ -234,9 +234,15 @@ def _check_tau(tau: int) -> None:
 
 def _family(gamma, branch: BranchKind, tau: int, k: float, u: float) -> Transform:
     """tau * gamma(k, u) * [[1, -u], [-u, 1]], the form of both families; gamma decides
-    the family's domain and raises DomainError outside it."""
+    the family's domain and raises DomainError outside it.  At |u| = 1, which the gammas
+    accept for k != 1, the matrix is singular: det = gamma**2 * (1 - u**2) = 0."""
     _check_tau(tau)
     g = tau * gamma(k, u)
+    if abs(u) == 1.0:
+        family, letter = (("symmetric", "v") if branch is BranchKind.SYMMETRIC_LAMBDA
+                          else ("antisymmetric", "w"))
+        raise DomainError(f"{family} family singular at |{letter}| = 1, got {letter} = {u} "
+                          f"for k = {k}")
     return Transform(((g, -g * u), (-g * u, g)), branch, tau, float(k), float(u))
 
 

@@ -15,6 +15,11 @@ Schema (all keys required unless noted):
 Unknown keys are rejected everywhere.  "infinity" is only a valid velocity
 for the "lambda" branch with k < 0; the accepted velocity spellings are
 documented once, in core.make_transform.
+
+save_scenario writes json.dumps(scenario_to_dict(s), indent=2, sort_keys=True)
+plus a newline, byte for byte.  CPython's json has no C path for indent, so
+_scenario_json writes that layout itself; json's own encoders still write
+every string and every transform value.
 """
 
 from __future__ import annotations
@@ -155,6 +160,41 @@ def scenario_to_dict(s: Scenario) -> dict:
     return out
 
 
+#: The string encoder json.dumps itself uses under its default ensure_ascii.
+_string_json = json.encoder.encode_basestring_ascii
+
+
+def _scenario_json(s: Scenario) -> str:
+    """json.dumps(scenario_to_dict(s), indent=2, sort_keys=True) + "\n", written straight
+    from s in the schema's sorted key order.  A TwoVector's components are finite, exact
+    floats, so ``!r`` is json's float.__repr__; the transform's values go through
+    json.dumps, since a directly built Transform may hold an int k or a bool tau."""
+    t = _transform_to_dict(s.transform)
+    lo, hi = s.window.lo, s.window.hi
+    events = ",\n".join([
+        f'    {{\n      "at": [\n        {at.c1!r},\n        {at.c2!r}\n      ],\n'
+        f'      "label": {_string_json(label)}\n    }}'
+        for at, label in s.events])
+    worldlines = ",\n".join([
+        f'    {{\n'
+        f'      "anchor": [\n        {wl.anchor.c1!r},\n        {wl.anchor.c2!r}\n      ],\n'
+        f'      "direction": [\n        {wl.direction.c1!r},\n        {wl.direction.c2!r}\n'
+        f'      ],\n'
+        f'      "kind": {_string_json(wl.kind.value)},\n'
+        f'      "label": {_string_json(wl.label)}\n    }}'
+        for wl in s.worldlines])
+    return ("{\n"
+            + (f'  "events": [\n{events}\n  ],\n' if events else "")
+            + f'  "name": {_string_json(s.name)},\n'
+            f'  "transform": {{\n    "branch": {json.dumps(t["branch"])},\n'
+            f'    "k": {json.dumps(t["k"])},\n    "tau": {json.dumps(t["tau"])},\n'
+            f'    "vel": {json.dumps(t["vel"])}\n  }},\n'
+            f'  "window": {{\n    "max": [\n      {hi.c1!r},\n      {hi.c2!r}\n    ],\n'
+            f'    "min": [\n      {lo.c1!r},\n      {lo.c2!r}\n    ]\n  }},\n'
+            + (f'  "worldlines": [\n{worldlines}\n  ]\n' if worldlines else '  "worldlines": []\n')
+            + "}\n")
+
+
 def load_scenario(path: str | Path) -> Scenario:
     with open(path, encoding="utf-8") as f:
         data = json.load(f)
@@ -163,7 +203,7 @@ def load_scenario(path: str | Path) -> Scenario:
 
 def save_scenario(s: Scenario, path: str | Path) -> None:
     """Write the scenario as JSON, indented by 2 with sorted keys, in one write.
-    A scenario that scenario_to_dict refuses leaves the file at ``path`` untouched."""
-    text = json.dumps(scenario_to_dict(s), indent=2, sort_keys=True) + "\n"
+    A scenario it refuses, as scenario_to_dict does, leaves the file at ``path`` untouched."""
+    text = _scenario_json(s)
     with open(path, "w", encoding="utf-8") as f:
         f.write(text)

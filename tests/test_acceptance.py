@@ -197,7 +197,8 @@ def test_criterion_08_parity_forcing_grid():
                 ws = [f / math.sqrt(k) for f in
                       (1.05, 1.3, 1.7, 2.5, 4.0, 7.0, 12.0, 25.0, 50.0)]
             else:
-                vs = [0.1, 0.3, 0.7, 1.0, 1.8, 3.0, 5.0, 7.5, 10.0]
+                # |v| = 1 is a singular member for k != 1, which the families refuse.
+                vs = [0.1, 0.3, 0.7, 1.2, 1.8, 3.0, 5.0, 7.5, 10.0]
                 ws = []
             for v in vs:
                 conj = parity_conjugate(make_lambda(tau, k, v))

@@ -155,8 +155,38 @@ def test_verify_forks_its_peer_from_a_single_thread():
 #: Runs cli.run() on its arguments as if numpy were not installed.
 _WITHOUT_NUMPY = "import sys\nsys.modules['numpy'] = None\nfrom bilorentz import cli\ncli.run()\n"
 
+#: Text json must escape: non-ASCII, a quote, a backslash, control characters, U+2028
+#: and a lone surrogate.
+_AWKWARD_TEXT = 'ξ₁ "quoted" back\\slash \x00\x1f\t\n\u2028 \ud800 </title> & \U0001f600'
+
+#: Builds scenarios with that text, an infinite-limit transform, no worldlines and
+#: signed-zero, subnormal and huge coordinates.
+_AWKWARD_SCENARIOS = f"""\
+from bilorentz import (Scenario, TwoVector, Window, Worldline, WorldlineKind, make_l,
+                       make_lambda_infinite_limit, save_scenario)
+text = {ascii(_AWKWARD_TEXT)}
+o = TwoVector(0.0, 0.0)
+scenarios = [
+    Scenario(text, make_l(-1, 1.0, 2.0),
+             (Worldline(o, TwoVector(1.0, 1.0), text, WorldlineKind.LIGHT_RAY),
+              Worldline(TwoVector(-0.0, 5e-324), TwoVector(1.0, -0.1), "\\xe9")),
+             Window(TwoVector(-3.0, -2.5), TwoVector(3.0, 1e300)), ((o, text), (o, ""))),
+    Scenario("inf", make_lambda_infinite_limit(-1, -0.25), (),
+             Window(TwoVector(-1e-300, -3.0), TwoVector(0.1, 3.0))),
+]
+"""
+
+#: Saves each awkward scenario and prints the saved files.
+_SAVE_AWKWARD = _AWKWARD_SCENARIOS + """\
+for i, s in enumerate(scenarios):
+    save_scenario(s, f"awkward-{i}.json")
+    with open(f"awkward-{i}.json", encoding="utf-8") as f:
+        print(f.read(), end="")
+"""
+
 #: The CLI cases each CPython from 3.10 on must run as the interpreter of the tests
-#: does: the golden diagrams, each exit code, and verify refused without numpy.
+#: does: the golden diagrams, each exit code, the bytes save_scenario writes, and verify
+#: refused without numpy.
 _INTERPRETER_CASES = {
     **{name: ["-m", "bilorentz.cli", *argv] for name, argv in {
         "transform": CORPUS["transform"][1],
@@ -164,6 +194,8 @@ _INTERPRETER_CASES = {
                           "--vel", "inf", "--vec", "1,2"],
         "domain_error": ["transform", "--branch", "lambda", "--tau", "1", "--k", "1",
                          "--vel", "2", "--vec", "1,1"],
+        "singular_member": ["transform", "--branch", "lambda", "--tau", "1", "--k", "0.5",
+                            "--vel", "1", "--vec", "1,0.25"],
         "classify": CORPUS["classify"][1],
         "compose": ["compose", "lambda,1,1,0.999", "lambda,1,1,0.999"],
         "compose_l": ["compose", "l,-1,1,2", "l,1,1,-3"],
@@ -172,6 +204,7 @@ _INTERPRETER_CASES = {
         "empty_window": CORPUS["empty_window"][1],
     }.items()},
     "verify_without_numpy": ["-c", _WITHOUT_NUMPY, "verify", "--trials", "7"],
+    "save_awkward": ["-c", _SAVE_AWKWARD],
 }
 
 
@@ -201,6 +234,17 @@ def test_the_reference_cases_are_golden_and_refuse_verify_without_numpy(referenc
     assert reference_cases["verify_without_numpy"] == (
         2, "", "error: verify needs numpy: pip install 'bilorentz[verify]'\n")
     assert {case[0] for name, case in reference_cases.items() if name != "svg"} == {0, 2, 3}
+
+
+def test_the_reference_refuses_a_singular_member_and_saves_what_json_dumps_writes(
+        reference_cases):
+    assert reference_cases["singular_member"] == (
+        2, "", "error: symmetric family singular at |v| = 1, got v = 1.0 for k = 0.5\n")
+    namespace = {}
+    exec(_AWKWARD_SCENARIOS, namespace)
+    assert reference_cases["save_awkward"] == (0, "".join(
+        json.dumps(scenario_to_dict(s), indent=2, sort_keys=True) + "\n"
+        for s in namespace["scenarios"]), "")
 
 
 @pytest.mark.parametrize("version", ["3.10", "3.11", "3.12", "3.13"])

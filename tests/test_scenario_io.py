@@ -4,10 +4,12 @@ import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bilorentz import (
     Scenario,
     ScenarioFormatError,
+    Transform,
     TwoVector,
     Window,
     Worldline,
@@ -159,6 +161,19 @@ def test_out_of_domain_velocity_is_a_format_error(branch, vel, message):
         scenario_from_dict(data)
 
 
+@pytest.mark.parametrize("branch, k, vel, message", [
+    ("lambda", 0.5, 1, r"symmetric family singular at \|v\| = 1, got v = 1.0 for k = 0.5"),
+    ("lambda", -1, -1, r"symmetric family singular at \|v\| = 1, got v = -1.0 for k = -1.0"),
+    ("l", 2, 1.0, r"antisymmetric family singular at \|w\| = 1, got w = 1.0 for k = 2.0"),
+    ("l", 4, -1.0, r"antisymmetric family singular at \|w\| = 1, got w = -1.0 for k = 4.0"),
+])
+def test_singular_family_member_is_a_format_error(branch, k, vel, message):
+    data = scenario_to_dict(build_fig3_scenario())
+    data["transform"] = {"branch": branch, "tau": 1, "k": k, "vel": vel}
+    with pytest.raises(ScenarioFormatError, match=f"^transform: {message}$"):
+        scenario_from_dict(data)
+
+
 def test_invalid_window_is_a_format_error():
     data = scenario_to_dict(build_fig3_scenario())
     data["window"] = {"min": [3, 3], "max": [-3, -3]}
@@ -252,18 +267,89 @@ def _infinity_scenario() -> Scenario:
     return Scenario("inf", make_lambda_infinite_limit(-1, -0.25), s.worldlines, s.window)
 
 
-@pytest.mark.parametrize("build", [build_fig2_scenario, build_fig3_scenario,
-                                   build_fig4_scenario, _awkward_scenario, _infinity_scenario],
-                         ids=["fig2", "fig3", "fig4", "awkward-text", "infinity"])
-def test_saved_bytes_are_the_streaming_json_dump(tmp_path, build):
+def _no_worldlines_scenario() -> Scenario:
+    s = build_fig4_scenario()
+    return Scenario(s.name, s.transform, (), s.window, s.events)
+
+
+def _direct_transform_scenario() -> Scenario:
+    # A bool tau and an int k, which no family constructor stores; json writes true and 1.
+    s = build_fig4_scenario()
+    t = make_l(-1, 1.0, 2.0)
+    return Scenario(s.name, Transform(t.m, t.branch, tau=True, k=1, vel=2.0),
+                    s.worldlines, s.window, s.events)
+
+
+def _assert_saved_as_json_dump(s: Scenario, folder) -> None:
     # save_scenario encodes the whole text before its one write; the bytes must be
     # those of the stdlib's streaming json.dump into the open file, plus a newline.
-    s = build()
-    reference = tmp_path / "reference.json"
+    reference = folder / "reference.json"
     with open(reference, "w", encoding="utf-8") as f:
         json.dump(scenario_to_dict(s), f, indent=2, sort_keys=True)
         f.write("\n")
-    path = tmp_path / "saved.json"
+    path = folder / "saved.json"
     save_scenario(s, path)
     assert path.read_bytes() == reference.read_bytes()
-    assert load_scenario(path) == s
+
+
+@pytest.mark.parametrize("build", [build_fig2_scenario, build_fig3_scenario,
+                                   build_fig4_scenario, _awkward_scenario, _infinity_scenario,
+                                   _no_worldlines_scenario, _direct_transform_scenario],
+                         ids=["fig2", "fig3", "fig4", "awkward-text", "infinity",
+                              "no-worldlines", "direct-transform"])
+def test_saved_bytes_are_the_streaming_json_dump(tmp_path, build):
+    s = build()
+    _assert_saved_as_json_dump(s, tmp_path)
+    if build is _direct_transform_scenario:
+        with pytest.raises(ScenarioFormatError, match="^transform: tau must be"):
+            load_scenario(tmp_path / "saved.json")
+    else:
+        assert load_scenario(tmp_path / "saved.json") == s
+
+
+_signs = st.sampled_from([1, -1])
+#: Finite floats, with the signed zero, the smallest subnormal and huge values drawn often.
+_coords = st.sampled_from([-0.0, 5e-324, -5e-324, 1e300, -1e300]) | st.floats(
+    allow_nan=False, allow_infinity=False)
+_vectors = st.builds(TwoVector, _coords, _coords)
+#: Text json must escape: non-ASCII, a quote, a backslash, control characters, U+2028
+#: and a lone surrogate, which st.characters() never draws.  Only a high one: json.loads
+#: joins the escapes of a high and a low surrogate into one astral character.
+_labels = st.text(st.characters() | st.sampled_from(
+    ['"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "\ud800", "ξ", "\U0001f600"]),
+    max_size=8)
+_transforms = st.one_of(
+    st.builds(make_lambda, _signs, st.sampled_from([0.25, 1.0]), st.floats(-0.999, 0.999)),
+    st.builds(make_lambda, _signs, st.sampled_from([-4.0, -1.0]),
+              st.floats(-1e100, 1e100).filter(lambda v: abs(v) != 1.0)),
+    st.builds(make_l, _signs, st.sampled_from([1.0, 4.0]),
+              st.floats(1.001, 1e100) | st.floats(-1e100, -1.001)),
+    st.builds(make_lambda_infinite_limit, _signs, st.sampled_from([-4.0, -1.0, -0.25])),
+)
+_worldlines = st.one_of(
+    st.builds(Worldline, _vectors,
+              _vectors.filter(lambda d: d.c1 != 0.0 or d.c2 != 0.0), _labels),
+    st.builds(lambda anchor, c, sign, label: Worldline(anchor, TwoVector(c, sign * c), label,
+                                                       WorldlineKind.LIGHT_RAY),
+              _vectors, _coords.filter(lambda c: c != 0.0), _signs, _labels),
+)
+
+
+@st.composite
+def _windows(draw) -> Window:
+    c1s = draw(st.lists(_coords, min_size=2, max_size=2, unique=True))
+    c2s = draw(st.lists(_coords, min_size=2, max_size=2, unique=True))
+    return Window(TwoVector(min(c1s), min(c2s)), TwoVector(max(c1s), max(c2s)))
+
+
+_scenarios = st.builds(Scenario, _labels, _transforms,
+                       st.lists(_worldlines, max_size=4).map(tuple), _windows(),
+                       st.lists(st.tuples(_vectors, _labels), max_size=4).map(tuple))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(s=_scenarios)
+def test_any_saved_scenario_is_the_streaming_json_dump_and_loads_back(tmp_path, s):
+    _assert_saved_as_json_dump(s, tmp_path)
+    assert load_scenario(tmp_path / "saved.json") == s

@@ -147,6 +147,34 @@ def test_constructors_reject_infinite_k(k):
         make_lambda_infinite_limit(1, k)
 
 
+@pytest.mark.parametrize("make, family, letter, k", [
+    (make_lambda, "symmetric", "v", 0.5),
+    (make_lambda, "symmetric", "v", -2.0),
+    (make_l, "antisymmetric", "w", 2.0),
+], ids=["lambda", "lambda-negative-k", "l"])
+@pytest.mark.parametrize("u", [1.0, -1.0])
+@pytest.mark.parametrize("tau", [1, -1])
+def test_family_members_at_unit_velocity_are_refused(make, family, letter, k, u, tau):
+    # The gammas accept |u| = 1 for k != 1, where tau * gamma * [[1, -u], [-u, 1]] has det 0.
+    with pytest.raises(DomainError, match=rf"^{family} family singular at \|{letter}\| = 1, "
+                                          rf"got {letter} = {u} for k = {k}$"):
+        make(tau, k, u)
+
+
+@pytest.mark.parametrize("make, u", [(make_lambda, 1 - 1e-9), (make_lambda, -1 + 1e-9),
+                                     (make_l, 1 + 1e-9), (make_l, -1 - 1e-9)])
+def test_family_members_next_to_unit_velocity_stay(make, u):
+    k = 0.5 if make is make_lambda else 2.0
+    (a, b), (c, d) = make(1, k, u).m
+    assert a * d - b * c != 0.0
+
+
+@pytest.mark.parametrize("branch", ["lambda", "l"])
+def test_unit_velocity_at_k_one_keeps_the_gammas_refusal(branch):
+    with pytest.raises(DomainError, match="family undefined for k"):
+        make_transform(branch, 1, 1.0, 1.0)
+
+
 def test_apply_identity():
     assert apply(make_lambda(1, 1.0, 0.0), TwoVector(3.0, 4.0)) == TwoVector(3.0, 4.0)
 
