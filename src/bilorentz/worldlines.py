@@ -52,6 +52,8 @@ class Worldline(_Value):
                 raise LightRayViolationError(
                     f"light ray direction ({direction.c1}, {direction.c2}) "
                     f"is off the light cone by {gap}")
+        elif kind is not WorldlineKind.PARTICLE:
+            raise ValueError(f"kind must be a WorldlineKind, got {kind!r}")
         _set_anchor(self, anchor)
         _set_direction(self, direction)
         _set_label(self, _string(label, "label"))

@@ -165,6 +165,23 @@ def test_copy_and_pickle_validate_worldline_values_again():
                 again(broken)
 
 
+@pytest.mark.parametrize("kind", ["lightray", "particle", None, CausalClass.TIMELIKE],
+                         ids=["lightray-str", "particle-str", "none", "other-enum"])
+def test_worldline_kind_must_be_a_worldline_kind(kind):
+    # A "lightray" string skipped the light-cone check, and save_scenario then failed
+    # with AttributeError and render_pair with KeyError; the constructor refuses it.
+    with pytest.raises(ValueError, match=r"^kind must be a WorldlineKind, got "):
+        Worldline(ORIGIN, TwoVector(1, 0.5), "x", kind=kind)
+
+
+def test_copy_and_pickle_refuse_a_kind_that_is_not_a_worldline_kind():
+    broken = Worldline(ORIGIN, TwoVector(1.0, 0.5))
+    worldlines._set_kind(broken, "lightray")
+    for again in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+        with pytest.raises(ValueError, match="^kind must be a WorldlineKind, got 'lightray'$"):
+            again(broken)
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda: Worldline(ORIGIN, TwoVector(1, 0.5), 5), "^label must be a string, got 5$"),
     (lambda: Worldline(ORIGIN, TwoVector(1, 1), None, WorldlineKind.LIGHT_RAY),

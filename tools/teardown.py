@@ -9,30 +9,22 @@ over the runs the 10th percentile and the median of:
   interpreter's teardown;
 * ``wall_ms``: start to reap.
 
-The commands are ``bare`` (``python -c "print(0)"``), ``transform``,
-``diagram --builtin fig2`` and ``verify --trials 100000``.  Given several
-``src`` folders (for instance a parent checkout's and this one's), each round
-runs every command once per folder, the folder that goes first alternating
-per round, and one JSON object keyed by folder is printed.
+The commands, which are the cases, are ``bare`` (``python -c "print(0)"``),
+``transform``, ``diagram --builtin fig2`` and ``verify --trials 100000``.
 
-Run with ``python tools/teardown.py [--runs N] [SRC ...]``; SRC defaults to
-this checkout's ``src``.  It starts one process at a time and is not part of
-the test suite.
+It runs on ``tools/ab.py``'s loop: ``python tools/teardown.py [--runs N] [SRC ...]``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import statistics
 import subprocess
 import sys
-import tempfile
 import time
-from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+import ab
+
 CLI = ("-m", "bilorentz.cli")
 COMMANDS = {
     "bare": ("-c", "print(0)"),
@@ -43,10 +35,12 @@ COMMANDS = {
 }
 
 
-def time_one(argv, env, cwd) -> tuple[float, float]:
+def time_one(name, src, cwd) -> tuple[float, float]:
     """(last write to reap, start to reap) in ms for one process."""
+    argv = COMMANDS[name]
     start = time.perf_counter()
-    child = subprocess.Popen([sys.executable, *argv], stdout=subprocess.PIPE, env=env, cwd=cwd)
+    child = subprocess.Popen([sys.executable, *argv], stdout=subprocess.PIPE, env=ab.env(src),
+                             cwd=cwd)
     last = start
     while os.read(child.stdout.fileno(), 1 << 16):
         last = time.perf_counter()
@@ -59,32 +53,16 @@ def time_one(argv, env, cwd) -> tuple[float, float]:
 
 
 def summary(samples) -> dict:
-    def p10(xs):
-        return statistics.quantiles(xs, n=10)[0]
     teardown, wall = zip(*samples)
-    return {"teardown_ms_p10": round(p10(teardown), 2),
+    return {"teardown_ms_p10": round(ab.quantile(teardown, 10, 1), 2),
             "teardown_ms_median": round(statistics.median(teardown), 2),
-            "wall_ms_p10": round(p10(wall), 2), "wall_ms_median": round(statistics.median(wall), 2)}
+            "wall_ms_p10": round(ab.quantile(wall, 10, 1), 2),
+            "wall_ms_median": round(statistics.median(wall), 2)}
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--runs", type=int, default=25)
-    parser.add_argument("src", nargs="*", default=[str(SRC)])
-    args = parser.parse_args(argv)
-    samples = {src: {name: [] for name in COMMANDS} for src in args.src}
-    with tempfile.TemporaryDirectory() as cwd:
-        for round_ in range(args.runs):
-            order = args.src if round_ % 2 == 0 else args.src[::-1]
-            for name, command in COMMANDS.items():
-                for src in order:
-                    env = {**os.environ, "PYTHONPATH": str(Path(src).resolve()),
-                           "PYTHONDONTWRITEBYTECODE": "1"}
-                    samples[src][name].append(time_one(command, env, cwd))
-    print(json.dumps({src: {name: summary(runs) for name, runs in by_name.items()}
-                      for src, by_name in samples.items()}, indent=1))
-    return 0
+def report(samples) -> dict:
+    return {name: summary(runs) for name, runs in samples.items()}
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(ab.main(__doc__, 25, COMMANDS, time_one, report))
