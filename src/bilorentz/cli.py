@@ -137,10 +137,13 @@ def _cmd_diagram(args) -> int:
     except (EmptyWindowError, OutOfWindowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RENDER_DEGENERATE
+    # Both documents are encoded before either file is opened: a label that cannot be
+    # encoded (a lone surrogate) leaves both targets as they were.
+    texts = original.to_svg().encode("utf-8"), transformed.to_svg().encode("utf-8")
     out_original = Path(f"{args.out}-original.svg")
     out_transformed = Path(f"{args.out}-transformed.svg")
-    out_original.write_text(original.to_svg(), encoding="utf-8", newline="\n")
-    out_transformed.write_text(transformed.to_svg(), encoding="utf-8", newline="\n")
+    out_original.write_bytes(texts[0])
+    out_transformed.write_bytes(texts[1])
     print(f"wrote {out_original} and {out_transformed}")
     return EXIT_OK
 

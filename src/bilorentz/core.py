@@ -216,8 +216,6 @@ def gamma_symmetric(k: float, v: float) -> float:
 def gamma_antisymmetric(k: float, w: float) -> float:
     """Odd gamma factor (w/|w|) / sqrt(k*w**2 - 1) for k*w**2 > 1; make_l multiplies in tau."""
     _check_k(k)
-    if w == 0.0:
-        raise DomainError("antisymmetric gamma undefined at w = 0")
     kw2 = k * w * w
     if not math.isfinite(kw2):  # an overflow would give gamma = 0; catches inf or NaN w too
         raise DomainError(f"k*w**2 must be finite, got {kw2} for k = {k}, w = {w}")

@@ -76,32 +76,15 @@ _set_seed, _set_trials, _set_checks = _setters(VerificationReport)
 
 _K_VALUES = (-1.0, -0.5, 0.5, 1.0)
 
-#: Trials per slice in the fuzz checks: 128 KiB per float64 temporary.  numpy reuses
-#: the temporary of a*b + c in place only for arrays of at least 256 KiB, so here each
-#: binary operation would allocate a fresh output; core's kernels and the checks' own
-#: tails write into arrays they just made instead.  A check then holds at most about
-#: twelve block-sized arrays at once, about 1.5 MB (traced: 9 in interval_invariance,
-#: 7 in the light cone, 11.6 in causal_class_absoluteness, 4 in measured_speed_bound),
-#: where blocks of 2**15 held 3.4 MB.  On a 2-core host (2 MiB L2 per core), fresh
-#: verify processes and their peers peaked at 36.1 MB RSS at 1e5, 1e6 and 4e6 trials
-#: alike, against 38.0-38.2 MB at 2**15 and 34.7 MB for a 1-trial run.  Warm 1e6 runs
-#: (minimum of 12, CPU model 143) took 166 ms with the peer and 294-305 ms in one
-#: process, against 168 and 317 ms at 2**15 and 182 and 336 ms at 2**13.  Before the
-#: kernels wrote in place, 2**14 took 199-203 and 378-380 ms, slower than 2**15 (191
-#: and 355 ms): the twice as many fresh outputs cost more than the smaller working set
-#: won back.
+#: Trials per fuzz block: a float64 temporary is then 128 KiB, under the 256 KiB from
+#: which numpy reuses a temporary in place, so core's kernels and the checks write into
+#: arrays they just made.  A check then holds about 1.5 MB of block arrays per process,
+#: which stay in cache.  The block-size sweeps are in CHANGES.md and BENCH_30.json.
 _BLOCK = 1 << 14
 
-#: Processes that share a fuzz check's slices, the calling one among them: one per
-#: CPU this process may run on, but at most 2, the count that was measured.  Each
-#: holds only its own slice inputs and temporaries, about 1.5 MB: the two peak at
-#: about 36 MB RSS at 1e5, 1e6 and 4e6 trials alike.  While each held a copy of the
-#: populations, 16 bytes per trial, the calling process peaked at 52.7 MB at 1e6
-#: trials and the peer at 48.3 MB, and one process running the slices on two threads
-#: at 55.1 MB.  In fresh processes at 1e6 trials and blocks of 2**15, two processes
-#: ran the four checks 1.66-1.69x faster than one (500 and 548 ms); two threads, which
-#: trade the GIL on every ufunc call, took 420 and 432 ms.  The affinity mask also
-#: ignores a cgroup's CPU quota.
+#: Processes sharing a fuzz check's blocks, the caller among them, not threads, which
+#: trade the GIL on every ufunc call: one per CPU in the affinity mask (a cgroup's CPU
+#: quota is not read), but at most 2, the only count measured (see CHANGES.md).
 _CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
          else os.cpu_count() or 1)
 _WORKERS = 2 if _CPUS >= 2 else 1
@@ -113,13 +96,27 @@ _WORKERS = 2 if _CPUS >= 2 else 1
 _PEER = ContextVar("_PEER", default=None)
 
 
-def _map_blocks(fn, trials: int) -> list | int:
-    """[fn(block) for each consecutive slice of _BLOCK trials covering range(trials),
-    the last one ending at trials], or with fn None the number of those slices,
-    counted without making them.  While a peer process shares the fuzz checks (see _with_peer),
-    each process runs the blocks i with i % 2 == its rank, and the peer sends its
-    results over the pipe for the caller to fold in block order.  Otherwise, or
-    with one block, the map runs inline.
+def _blocks(trials: int) -> list:
+    """The consecutive slices of _BLOCK trials that cover range(trials), the last one
+    ending at trials.
+
+    It first frees one untouched chunk of eight blocks' worth plus 256 bytes per block
+    (a listed block holds about 180 with its stop and its result), for two reasons.  A
+    trial count whose blocks could not be listed fails here, at once.  And freeing a
+    chunk above glibc's mmap threshold but under 32 MiB (about 2 * 10**9 trials) raises
+    that threshold to its size and the trim threshold to twice that (mallopt(3)), so
+    the 128 KiB temporaries a block frees stay in the process for the next block.
+    """
+    starts = range(0, trials, _BLOCK)
+    np.empty(8 * _BLOCK + 32 * len(starts))
+    return list(map(slice, starts, [*starts[1:], trials]))
+
+
+def _map_blocks(fn, trials: int) -> list:
+    """[fn(block) for block in _blocks(trials)].  While a peer process shares the fuzz
+    checks (see _with_peer), each process runs the blocks i with i % 2 == its rank,
+    and the peer sends its results over the pipe for the caller to fold in block
+    order.  Otherwise, or with one block, the map runs inline.
 
     An exception is raised as the serial loop would raise it: the one from the
     earliest failing block.  Each side stops at its first failing block, so every
@@ -128,19 +125,7 @@ def _map_blocks(fn, trials: int) -> list | int:
     to the same next check.  A peer whose caller is gone leaves by SystemExit,
     before its next block or when its send fails.
     """
-    starts = range(0, trials, _BLOCK)
-    if fn is None:
-        return len(starts)
-    # glibc malloc mmaps a chunk of at least its mmap threshold (128 KiB at start-up),
-    # and freeing it raises that threshold to its size and the trim threshold to twice
-    # that (mallopt(3)).  A 128 KiB block temporary sits exactly at the start-up
-    # threshold, so the first one would raise the trim threshold only to about 264 KiB,
-    # and free() gives the free top of the heap back to the kernel once it passes the
-    # trim threshold, so the next block faults the same pages in again.  One untouched
-    # chunk of eight blocks' worth, freed at once, keeps a block's working set of about
-    # 1.5 MB in the process from the first block on.
-    np.empty(8 * _BLOCK)
-    blocks = list(map(slice, starts, [*starts[1:], trials]))
+    blocks = _blocks(trials)
     peer = _PEER.get()
     if peer is None or len(blocks) < 2:
         return [fn(block) for block in blocks]
@@ -203,7 +188,7 @@ def _with_peer(trials: int, work):
     an interrupt included, the peer is killed first; it is reaped in every case, so
     no process outlives the call.
     """
-    if _WORKERS < 2 or not hasattr(os, "fork") or _map_blocks(None, trials) < 2:
+    if _WORKERS < 2 or not hasattr(os, "fork") or len(_blocks(trials)) < 2:
         return work()
     caller = os.getpid()
     read_end, write_end = os.pipe()
@@ -553,12 +538,7 @@ def run_verification(trials: int = 100_000, seed: int = 0) -> VerificationReport
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    # The refusal of a trial count too large to run: the only memory a run holds that
-    # grows with trials is a fuzz check's list of blocks, whose slices, their stops and
-    # their results peaked at about 180 bytes per block, with or without a peer.  One
-    # untouched chunk of 256 bytes per block fails here at once, and not after the grid
-    # checks and a walk through the blocks.
-    np.empty((_map_blocks(None, trials), 32))
+    _blocks(trials)     # refuses a trial count too large to run, before the grid checks
     rng = np.random.default_rng(seed)
     grid = tuple(_guarded(name, check) for name, check in (
         ("gamma_parity", check_gamma_parity),

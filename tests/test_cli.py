@@ -272,6 +272,26 @@ def test_diagram_matches_golden(name, tmp_path, capsys, monkeypatch):
         assert produced == expected
 
 
+def test_diagram_that_cannot_encode_writes_neither_file(tmp_path, capsys):
+    # A lone surrogate loads from JSON but has no UTF-8 encoding.  Both documents are
+    # encoded before either file is opened, so an old file at the target keeps its bytes.
+    data = scenario_to_dict(build_fig2_scenario())
+    data["name"] = "x\ud800"
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    argv = ("diagram", "--scenario", str(path), "--out", str(tmp_path / "x"))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: 'utf-8' codec can't encode character '\\ud800'")
+    assert err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
+    old = tmp_path / "x-original.svg"
+    old.write_bytes(b"old bytes")
+    assert run_cli(capsys, *argv)[0] == 2
+    assert old.read_bytes() == b"old bytes"
+    assert not (tmp_path / "x-transformed.svg").exists()
+
+
 def test_diagram_missing_scenario_exits_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "diagram", "--scenario",
                            str(tmp_path / "missing.json"), "--out", str(tmp_path / "x"))

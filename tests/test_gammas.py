@@ -69,8 +69,9 @@ def test_antisymmetric_is_exactly_odd():
 def test_antisymmetric_domain():
     with pytest.raises(DomainError):
         gamma_antisymmetric(1.0, 1.0)  # k*w**2 - 1 = 0
-    with pytest.raises(DomainError):
-        gamma_antisymmetric(1.0, 0.0)
+    for k, w in ((1.0, 0.0), (1.0, -0.0), (-1.0, 0.0)):  # k*0**2 = 0 for any finite k
+        with pytest.raises(DomainError, match=r"k\*w\*\*2 = -?0\.0 <= 1"):
+            gamma_antisymmetric(k, w)
     with pytest.raises(DomainError):
         gamma_antisymmetric(-1.0, 2.0)  # negative k never satisfies k*w**2 > 1
 

@@ -37,16 +37,23 @@ def test_verify_folds_residuals_only_with_worst():
 def test_verify_slices_fuzz_populations_only_in_map_blocks():
     # _map_blocks shares the blocks with the peer process and folds their results in
     # block order; a check that slices by _BLOCK itself would run serially, and one
-    # with its own pool could fold in another order.
+    # with its own pool could fold in another order.  _blocks is the one block plan:
+    # _map_blocks maps over it, _with_peer forks by it and run_verification refuses by it.
     path = next(p for p in SOURCES if p.name == "verify.py")
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    helper = next(node for node in tree.body
-                  if isinstance(node, ast.FunctionDef) and node.name == "_map_blocks")
-    inside = set(ast.walk(helper))
-    reads = [node for node in ast.walk(tree) if isinstance(node, ast.Name)
-             and node.id == "_BLOCK" and isinstance(node.ctx, ast.Load)]
-    outside = [node.lineno for node in reads if node not in inside]
-    assert reads and outside == [], f"verify.py: _BLOCK read outside _map_blocks at {outside}"
+    owner = {node: top.name for top in tree.body if isinstance(top, ast.FunctionDef)
+             for node in ast.walk(top)}
+
+    def readers(name):
+        return [(owner.get(node), node.lineno) for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and node.id == name
+                and isinstance(node.ctx, ast.Load)]
+
+    assert {name for name, _ in readers("_BLOCK")} == {"_blocks"}, \
+        f"verify.py: _BLOCK read outside _blocks: {readers('_BLOCK')}"
+    assert {name for name, _ in readers("_blocks")} == \
+        {"_map_blocks", "_with_peer", "run_verification"}, \
+        f"verify.py: _blocks used by {readers('_blocks')}"
 
 
 def _is_os_call(node, name):

@@ -566,8 +566,8 @@ def test_block_inputs_are_the_whole_population_draws(monkeypatch, trials, seed):
 def test_verify_memory_is_bounded_per_trial():
     """numpy reports its buffers to tracemalloc, so this is a byte count, not
     a timing.  After a 1-trial run, which loads numpy.random, a 400,000-trial run
-    holds one block of inputs and temporaries at a time, and the untouched chunk
-    of 256 bytes per block that refuses an impossible trial count.  That reads
+    holds one block of inputs and temporaries at a time, or the untouched chunk
+    that _blocks frees, eight blocks' worth plus 256 bytes per block.  That reads
     3.9 B/trial with blocks of 2**14 trials; blocks of 2**15 read 7.3, above the
     bound.  While the refusal was a chunk of 16 bytes per trial the run read
     16.0, and with whole-population inputs 23.7."""
@@ -701,7 +701,7 @@ def test_too_many_trials_for_a_peer_fail_at_once_on_the_population():
                     reason="needs os.fork and an enforced RLIMIT_AS")
 def test_a_run_that_fits_gets_past_the_refusal():
     """10**8 trials hold one block of inputs and temporaries at a time, and the
-    refusal asks for 1.5 MB, so they get to their first block under the cap; a
+    refusal asks for 2.6 MB, so they get to their first block under the cap; a
     population-sized refusal asked for 1.49 GiB and exited 2.  The planted error
     stops every fuzz check at its first block, so the run ends at once."""
     plant = ("real_mat_vec = core.mat_vec\n"

@@ -9,12 +9,11 @@ Every single operator site of core.py becomes one mutant:
 
 Each mutant is written into a temporary copy of ``src/`` (the working tree is
 never touched) and run as ``python -m bilorentz.cli verify --trials 100000
---seed 0`` in a fresh process.  That is four blocks per fuzz check, so on 2
+--seed 0`` in a fresh process.  That is seven blocks per fuzz check, so on 2
 or more CPUs the run forks its peer process and goes through the two-process
-fold of ``verify._map_blocks``.  A mutant is
-killed when that run exits non-zero.  The script prints the count per exit
-code, killed/total, and then every surviving site as
-``line function: before -> after``.
+fold of ``verify._map_blocks``.  A mutant is killed when that run exits
+non-zero.  The script prints the count per exit code, killed/total, and then
+every surviving site as ``line function: before -> after``.
 
 Run with ``python tools/mutants.py``.  It uses only the standard library plus
 what ``bilorentz verify`` itself needs, and took 35-48 s for the 127 mutants
@@ -27,14 +26,14 @@ from __future__ import annotations
 
 import ast
 import collections
-import os
 import shutil
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+import ab
+
 TARGET = Path("bilorentz") / "core.py"
 VERIFY = ("-m", "bilorentz.cli", "verify", "--trials", "100000", "--seed", "0")
 TIMEOUT_S = 300
@@ -105,14 +104,14 @@ def mutant(source: str, index: int) -> tuple[str, str]:
 
 
 def run() -> int:
-    source = (SRC / TARGET).read_text(encoding="utf-8")
+    source = (ab.SRC / TARGET).read_text(encoding="utf-8")
     total = len(_sites(ast.parse(source)))
     by_exit = collections.Counter()
     survivors = []
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "src"
-        shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__"))
-        env = dict(os.environ, PYTHONPATH=str(copy), PYTHONDONTWRITEBYTECODE="1")
+        shutil.copytree(ab.SRC, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        env = ab.env(copy)
 
         def verify() -> int | str:
             try:
