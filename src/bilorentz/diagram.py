@@ -39,9 +39,11 @@ class DiagramStyle(_Value):
 
     def __init__(self, width_px: int = 480, height_px: int = 480, decimal_places: int = 6):
         # An integer is what has __index__, numpy's included.  A bool has it too, but
-        # _fmt's format spec would read ".Truef".
-        if decimal_places.__class__ is bool or not hasattr(decimal_places, "__index__"):
-            raise ValueError(f"decimal_places must be an integer, got {decimal_places!r}")
+        # _formatter's format spec would read ".Truef".
+        for name, value in (("decimal_places", decimal_places), ("width_px", width_px),
+                            ("height_px", height_px)):
+            if value.__class__ is bool or not hasattr(value, "__index__"):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if decimal_places < 1:
             raise ValueError("decimal_places must be >= 1")
         if width_px <= 2 * _MARGIN or height_px <= 2 * _MARGIN:
@@ -53,6 +55,26 @@ class DiagramStyle(_Value):
 
 
 _set_width_px, _set_height_px, _set_decimal_places = _setters(DiagramStyle)
+
+
+def _pixel_map(style: DiagramStyle, window: Window):
+    """The map from an event's (c1, c2) to pixels: second coordinate right, first up."""
+    lo1, lo2, hi1, hi2 = window.lo.c1, window.lo.c2, window.hi.c1, window.hi.c2
+    span1, span2 = hi1 - lo1, hi2 - lo2
+    plot_w, plot_h = style.width_px - 2 * _MARGIN, style.height_px - 2 * _MARGIN
+    def to_pixel(c1: float, c2: float) -> tuple[float, float]:
+        return _MARGIN + (c2 - lo2) / span2 * plot_w, _MARGIN + (hi1 - c1) / span1 * plot_h
+    return to_pixel
+
+
+def _formatter(decimals: int):
+    """The map from a coordinate to its text with ``decimals`` places, where a negative
+    that rounds to zero prints unsigned, as 0.0 does."""
+    spec = f".{decimals}f"
+    def fmt(value: float) -> str:
+        text = f"{value:{spec}}"
+        return text[1:] if text[0] == "-" and not text.strip("-0.") else text
+    return fmt
 
 
 class SvgDocument(_Value):
@@ -67,12 +89,7 @@ class SvgDocument(_Value):
 
     def to_pixel(self, p: TwoVector) -> tuple[float, float]:
         """Map an event to pixel coordinates (second coord right, first coord up)."""
-        win = self.window
-        plot_w = self.style.width_px - 2 * _MARGIN
-        plot_h = self.style.height_px - 2 * _MARGIN
-        px = _MARGIN + (p.c2 - win.lo.c2) / (win.hi.c2 - win.lo.c2) * plot_w
-        py = _MARGIN + (win.hi.c1 - p.c1) / (win.hi.c1 - win.lo.c1) * plot_h
-        return px, py
+        return _pixel_map(self.style, self.window)(p.c1, p.c2)
 
     def to_svg(self) -> str:
         w, h = self.style.width_px, self.style.height_px
@@ -87,22 +104,12 @@ class SvgDocument(_Value):
 _set_style, _set_window, _set_elements = _setters(SvgDocument)
 
 
-def _fmt(value: float, decimals: int) -> str:
-    text = f"{value:.{decimals}f}"
-    # a negative that rounds to zero prints unsigned, as 0.0 does
-    return text[1:] if text[0] == "-" and not text.strip("-0.") else text
-
-
-def clip_to_window(wl: Worldline, window: Window) -> tuple[TwoVector, TwoVector] | None:
-    """Intersect the infinite line anchor + s*direction with the window.
-
-    Returns the endpoints of the clipped segment, or None when the line
-    misses the window entirely.
-    """
-    anchor, direction = wl.anchor, wl.direction
+def _span(wl: Worldline, window: Window) -> tuple[float, float, float, float] | None:
+    """clip_to_window's endpoints as the floats (c1, c2, c1, c2), or None."""
+    a1, a2, d1, d2 = wl.anchor.c1, wl.anchor.c2, wl.direction.c1, wl.direction.c2
     smin, smax = -math.inf, math.inf
-    for a, d, lo, hi in ((anchor.c1, direction.c1, window.lo.c1, window.hi.c1),
-                         (anchor.c2, direction.c2, window.lo.c2, window.hi.c2)):
+    for a, d, lo, hi in ((a1, d1, window.lo.c1, window.hi.c1),
+                         (a2, d2, window.lo.c2, window.hi.c2)):
         if d == 0.0:
             if not lo <= a <= hi:
                 return None
@@ -117,62 +124,64 @@ def clip_to_window(wl: Worldline, window: Window) -> tuple[TwoVector, TwoVector]
             smax = s1
     if smin > smax:
         return None
-    # direction is non-zero, so both bounds are finite by now
-    return (TwoVector(anchor.c1 + smin * direction.c1, anchor.c2 + smin * direction.c2),
-            TwoVector(anchor.c1 + smax * direction.c1, anchor.c2 + smax * direction.c2))
+    # a bound of a tiny direction, or an endpoint, may overflow: _render_one refuses it
+    return a1 + smin * d1, a2 + smin * d2, a1 + smax * d1, a2 + smax * d2
+
+
+def clip_to_window(wl: Worldline, window: Window) -> tuple[TwoVector, TwoVector] | None:
+    """The endpoints of the line anchor + s*direction inside the window, or None."""
+    span = _span(wl, window)
+    return None if span is None else (TwoVector(*span[:2]), TwoVector(*span[2:]))
 
 
 def _render_one(title: str, worldlines: tuple[Worldline, ...], window: Window,
                 style: DiagramStyle, axis_labels: tuple[str, str]) -> SvgDocument:
     w, h = style.width_px, style.height_px
-    dp = style.decimal_places
+    to_pixel, fmt = _pixel_map(style, window), _formatter(style.decimal_places)
     elements: list[str] = [
         f"<title>{escape(title)}</title>",
         f'<rect class="background" x="0" y="0" width="{w}" height="{h}" fill="white"/>',
-        (f'<rect class="frame" x="{_fmt(_MARGIN, dp)}" y="{_fmt(_MARGIN, dp)}" '
-         f'width="{_fmt(w - 2 * _MARGIN, dp)}" height="{_fmt(h - 2 * _MARGIN, dp)}" '
+        (f'<rect class="frame" x="{fmt(_MARGIN)}" y="{fmt(_MARGIN)}" '
+         f'width="{fmt(w - 2 * _MARGIN)}" height="{fmt(h - 2 * _MARGIN)}" '
          f'fill="none" stroke="black" stroke-width="1"/>'),
     ]
 
-    doc = SvgDocument(style, window, ())
-    # zero lines for both coordinates, drawn only when inside the window
-    vx = hy = None
+    # zero lines for both coordinates, drawn only when inside the window (else labels by the frame)
+    vx, hy = _MARGIN, h - _MARGIN
     if window.lo.c2 <= 0.0 <= window.hi.c2:
-        vx, _ = doc.to_pixel(TwoVector(window.lo.c1, 0.0))
+        vx, _ = to_pixel(window.lo.c1, 0.0)
+        elements.append(
+            f'<line class="axis" x1="{fmt(vx)}" y1="{fmt(_MARGIN)}" '
+            f'x2="{fmt(vx)}" y2="{fmt(h - _MARGIN)}" '
+            f'stroke="gray" stroke-width="0.5"/>')
     if window.lo.c1 <= 0.0 <= window.hi.c1:
-        _, hy = doc.to_pixel(TwoVector(0.0, window.lo.c2))
-    if vx is not None:
+        _, hy = to_pixel(0.0, window.lo.c2)
         elements.append(
-            f'<line class="axis" x1="{_fmt(vx, dp)}" y1="{_fmt(_MARGIN, dp)}" '
-            f'x2="{_fmt(vx, dp)}" y2="{_fmt(h - _MARGIN, dp)}" '
+            f'<line class="axis" x1="{fmt(_MARGIN)}" y1="{fmt(hy)}" '
+            f'x2="{fmt(w - _MARGIN)}" y2="{fmt(hy)}" '
             f'stroke="gray" stroke-width="0.5"/>')
-    if hy is not None:
-        elements.append(
-            f'<line class="axis" x1="{_fmt(_MARGIN, dp)}" y1="{_fmt(hy, dp)}" '
-            f'x2="{_fmt(w - _MARGIN, dp)}" y2="{_fmt(hy, dp)}" '
-            f'stroke="gray" stroke-width="0.5"/>')
-    label_x = vx if vx is not None else _MARGIN
-    label_y = hy if hy is not None else h - _MARGIN
     elements.append(
-        f'<text class="axis-label" x="{_fmt(label_x + 6.0, dp)}" '
-        f'y="{_fmt(_MARGIN - 8.0, dp)}" font-size="14">{escape(axis_labels[0])}</text>')
+        f'<text class="axis-label" x="{fmt(vx + 6.0)}" '
+        f'y="{fmt(_MARGIN - 8.0)}" font-size="14">{escape(axis_labels[0])}</text>')
     elements.append(
-        f'<text class="axis-label" x="{_fmt(w - _MARGIN + 6.0, dp)}" '
-        f'y="{_fmt(label_y + 4.0, dp)}" font-size="14">{escape(axis_labels[1])}</text>')
+        f'<text class="axis-label" x="{fmt(w - _MARGIN + 6.0)}" '
+        f'y="{fmt(hy + 4.0)}" font-size="14">{escape(axis_labels[1])}</text>')
 
-    drawn = 0
+    first_line = len(elements)
     for wl in worldlines:
-        seg = clip_to_window(wl, window)
-        if seg is None:
+        span = _span(wl, window)
+        if span is None:
             continue
-        (p1x, p1y), (p2x, p2y) = doc.to_pixel(seg[0]), doc.to_pixel(seg[1])
+        a1, a2, b1, b2 = span
+        if not math.isfinite(a1 + a2 + b1 + b2):
+            TwoVector(a1, a2), TwoVector(b1, b2)    # refuses an endpoint that overflowed
+        (x1, y1), (x2, y2) = to_pixel(a1, a2), to_pixel(b1, b2)
         kind, stroke = _LINE[wl.kind]
         elements.append(
-            f'<line class="worldline {kind}" x1="{_fmt(p1x, dp)}" y1="{_fmt(p1y, dp)}" '
-            f'x2="{_fmt(p2x, dp)}" y2="{_fmt(p2y, dp)}" stroke="{stroke}" '
+            f'<line class="worldline {kind}" x1="{fmt(x1)}" y1="{fmt(y1)}" '
+            f'x2="{fmt(x2)}" y2="{fmt(y2)}" stroke="{stroke}" '
             f'stroke-width="1.5"><title>{escape(wl.label)}</title></line>')
-        drawn += 1
-    if drawn == 0:
+    if len(elements) == first_line:
         raise EmptyWindowError(f"no worldline of {title!r} intersects the window")
 
     return SvgDocument(style, window, tuple(elements))
@@ -195,16 +204,16 @@ def annotate_events(doc: SvgDocument,
                     events: tuple[tuple[TwoVector, str], ...]) -> SvgDocument:
     """Return a copy of the document with a labelled marker per event."""
     added: list[str] = []
-    dp = doc.style.decimal_places
+    to_pixel, fmt = _pixel_map(doc.style, doc.window), _formatter(doc.style.decimal_places)
     for at, label in events:
         if not doc.window.contains(at):
             raise OutOfWindowError(
                 f"event {label!r} at ({at.c1}, {at.c2}) lies outside the window")
-        px, py = doc.to_pixel(at)
+        px, py = to_pixel(at.c1, at.c2)
         added.append(
-            f'<circle class="event" cx="{_fmt(px, dp)}" cy="{_fmt(py, dp)}" '
+            f'<circle class="event" cx="{fmt(px)}" cy="{fmt(py)}" '
             f'r="3" fill="black"/>')
         added.append(
-            f'<text class="event-label" x="{_fmt(px + 6.0, dp)}" '
-            f'y="{_fmt(py - 6.0, dp)}" font-size="13">{escape(label)}</text>')
+            f'<text class="event-label" x="{fmt(px + 6.0)}" '
+            f'y="{fmt(py - 6.0)}" font-size="13">{escape(label)}</text>')
     return SvgDocument(doc.style, doc.window, doc.elements + tuple(added))

@@ -19,7 +19,9 @@ documented once, in core.make_transform.
 save_scenario writes json.dumps(scenario_to_dict(s), indent=2, sort_keys=True)
 plus a newline, byte for byte.  CPython's json has no C path for indent, so
 _scenario_json writes that layout itself; json's own encoders still write
-every string and every transform value.
+every string and every transform value.  So a high surrogate followed by a low
+one (two code points) is saved as two escapes and loads back as the one astral
+character they spell: the format means the joined character.
 """
 
 from __future__ import annotations
@@ -36,7 +38,12 @@ class ScenarioFormatError(ValueError):
     """The JSON document does not match the scenario schema."""
 
 
-def _require_keys(obj: dict, required: set[str], optional: set[str], where: str) -> None:
+# A JSON path ``where`` holds a "{}" for the array index ``i``, filled in only for errors.
+def _require_keys(obj: dict, required: frozenset[str] | set[str], where: str,
+                  i: int | None = None, optional: set[str] = frozenset()) -> None:
+    if obj.__class__ is dict and obj.keys() == required:
+        return
+    where = where.format(i)
     if not isinstance(obj, dict):
         raise ScenarioFormatError(f"{where} must be an object, got {type(obj).__name__}")
     keys = set(obj)
@@ -48,42 +55,42 @@ def _require_keys(obj: dict, required: set[str], optional: set[str], where: str)
         raise ScenarioFormatError(f"missing keys in {where}: {sorted(missing)}")
 
 
-def _made(where: str, make, *args):
+def _made(where: str, i: int | None, make, *args):
     """make(*args), with a ValueError it raises prefixed by the JSON path ``where``."""
     try:
         return make(*args)
     except ValueError as exc:
-        raise ScenarioFormatError(f"{where}: {exc}") from exc
+        raise ScenarioFormatError(f"{where.format(i)}: {exc}") from exc
 
 
-def _number(value, where: str) -> float:
+def _number(value, where: str, i: int | None = None) -> float:
     if value.__class__ is float:    # most numbers json gives: no checks or float() needed
         return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioFormatError(f"{where} must be a number, got {value!r}")
+        raise ScenarioFormatError(f"{where.format(i)} must be a number, got {value!r}")
     try:
         return float(value)
     except OverflowError:
         # JSON integers are unbounded; the repr of one past 4300 digits raises.
-        raise ScenarioFormatError(f"{where} must be a number within the float range, "
-                                  f"got an integer of {value.bit_length()} bits") from None
+        raise ScenarioFormatError(f"{where.format(i)} must be a number within the float "
+                                  f"range, got an integer of {value.bit_length()} bits") from None
 
 
-def _vector(value, where: str) -> TwoVector:
+def _vector(value, where: str, i: int | None = None) -> TwoVector:
     if not (isinstance(value, list) and len(value) == 2):
-        raise ScenarioFormatError(f"{where} must be a 2-element array, got {value!r}")
-    return _made(where, TwoVector, _number(value[0], where), _number(value[1], where))
+        raise ScenarioFormatError(f"{where.format(i)} must be a 2-element array, got {value!r}")
+    return _made(where, i, TwoVector, _number(value[0], where, i), _number(value[1], where, i))
 
 
-def _text(value, where: str) -> str:
+def _text(value, where: str, i: int | None = None) -> str:
     try:
-        return _string(value, where)
+        return value if isinstance(value, str) else _string(value, where.format(i))
     except ValueError as exc:
         raise ScenarioFormatError(str(exc)) from None
 
 
 def _transform_from_dict(obj: dict) -> Transform:
-    _require_keys(obj, {"branch", "tau", "k", "vel"}, set(), "transform")
+    _require_keys(obj, {"branch", "tau", "k", "vel"}, "transform")
     branch = _text(obj["branch"], "transform.branch")
     k = _number(obj["k"], "transform.k")
     if obj["vel"] == "infinity":
@@ -92,7 +99,7 @@ def _transform_from_dict(obj: dict) -> Transform:
         vel = _number(obj["vel"], "transform.vel")
         if not math.isfinite(vel):
             raise ScenarioFormatError(f'transform.vel must be finite or "infinity", got {vel!r}')
-    return _made("transform", make_transform, branch, obj["tau"], k, vel)
+    return _made("transform", None, make_transform, branch, obj["tau"], k, vel)
 
 
 def _transform_to_dict(t: Transform) -> dict:
@@ -103,40 +110,43 @@ def _transform_to_dict(t: Transform) -> dict:
 
 
 _KINDS = {kind.value: kind for kind in WorldlineKind}
+_WORLDLINE_KEYS = frozenset({"anchor", "direction", "kind", "label"})
+_EVENT_KEYS = frozenset({"at", "label"})
 
 
-def _worldline_from_dict(obj: dict, index: int) -> Worldline:
-    where = f"worldlines[{index}]"
-    _require_keys(obj, {"anchor", "direction", "kind", "label"}, set(), where)
-    kind = _KINDS.get(_text(obj["kind"], f"{where}.kind"))
+def _worldline_from_dict(obj: dict, i: int) -> Worldline:
+    _require_keys(obj, _WORLDLINE_KEYS, "worldlines[{}]", i)
+    kind = _KINDS.get(_text(obj["kind"], "worldlines[{}].kind", i))
     if kind is None:
         raise ScenarioFormatError(
-            f'{where}.kind must be "particle" or "lightray", got {obj["kind"]!r}')
-    return _made(where, Worldline, _vector(obj["anchor"], f"{where}.anchor"),
-                 _vector(obj["direction"], f"{where}.direction"),
-                 _text(obj["label"], f"{where}.label"), kind)
+            f'worldlines[{i}].kind must be "particle" or "lightray", got {obj["kind"]!r}')
+    return _made("worldlines[{}]", i, Worldline,
+                 _vector(obj["anchor"], "worldlines[{}].anchor", i),
+                 _vector(obj["direction"], "worldlines[{}].direction", i),
+                 _text(obj["label"], "worldlines[{}].label", i), kind)
 
 
 def scenario_from_dict(data: dict) -> Scenario:
     """Build a Scenario from parsed JSON, strictly; each error names its JSON path."""
-    _require_keys(data, {"name", "transform", "worldlines", "window"}, {"events"}, "scenario")
+    _require_keys(data, {"name", "transform", "worldlines", "window"}, "scenario",
+                  optional={"events"})
     name = _text(data["name"], "name")
     transform = _transform_from_dict(data["transform"])
     if not isinstance(data["worldlines"], list):
         raise ScenarioFormatError("worldlines must be an array")
     worldlines = tuple(_worldline_from_dict(o, i)
                        for i, o in enumerate(data["worldlines"]))
-    _require_keys(data["window"], {"min", "max"}, set(), "window")
-    window = _made("window", Window, _vector(data["window"]["min"], "window.min"),
+    _require_keys(data["window"], {"min", "max"}, "window")
+    window = _made("window", None, Window, _vector(data["window"]["min"], "window.min"),
                    _vector(data["window"]["max"], "window.max"))
     raw_events = data.get("events", [])
     if not isinstance(raw_events, list):
         raise ScenarioFormatError("events must be an array")
     events = []
     for i, obj in enumerate(raw_events):
-        _require_keys(obj, {"at", "label"}, set(), f"events[{i}]")
-        events.append((_vector(obj["at"], f"events[{i}].at"),
-                       _text(obj["label"], f"events[{i}].label")))
+        _require_keys(obj, _EVENT_KEYS, "events[{}]", i)
+        events.append((_vector(obj["at"], "events[{}].at", i),
+                       _text(obj["label"], "events[{}].label", i)))
     return Scenario(name, transform, worldlines, window, tuple(events))
 
 

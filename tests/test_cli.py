@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from bilorentz import build_fig2_scenario, build_fig4_scenario, cli, core, save_scenario, scenario_to_dict
+from bilorentz import (Scenario, TwoVector, Window, Worldline, build_fig2_scenario,
+                       build_fig4_scenario, cli, core, make_lambda, save_scenario, scenario_to_dict)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -340,6 +341,19 @@ def test_diagram_integer_beyond_the_float_range_exits_2(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err.startswith("error: transform.k must be a number within the float range")
     assert err.count("\n") == 1
+
+
+def test_diagram_endpoint_that_overflows_exits_2(tmp_path, capsys):
+    # The line from (1e308, 1e308) along (1, 1) ends at (-inf, -inf) at the window's corner.
+    window = Window(TwoVector(-1e308, -1e308), TwoVector(1e308, 1e308))
+    wl = Worldline(TwoVector(1e308, 1e308), TwoVector(1.0, 1.0))
+    path = tmp_path / "scenario.json"
+    save_scenario(Scenario("overflow", make_lambda(1, 1.0, 0.5), (wl,), window), path)
+    code, out, err = run_cli(capsys, "diagram", "--scenario", str(path),
+                             "--out", str(tmp_path / "x"))
+    assert (code, out) == (2, "")
+    assert err == "error: TwoVector components must be finite, got (-inf, -inf)\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
 
 
 def test_diagram_empty_window_exits_3(tmp_path, capsys):

@@ -314,7 +314,8 @@ _coords = st.sampled_from([-0.0, 5e-324, -5e-324, 1e300, -1e300]) | st.floats(
 _vectors = st.builds(TwoVector, _coords, _coords)
 #: Text json must escape: non-ASCII, a quote, a backslash, control characters, U+2028
 #: and a lone surrogate, which st.characters() never draws.  Only a high one: json.loads
-#: joins the escapes of a high and a low surrogate into one astral character.
+#: joins the escapes of a high and a low surrogate into one astral character (the test
+#: of a surrogate pair below pins that join).
 _labels = st.text(st.characters() | st.sampled_from(
     ['"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "\ud800", "ξ", "\U0001f600"]),
     max_size=8)
@@ -353,3 +354,23 @@ _scenarios = st.builds(Scenario, _labels, _transforms,
 def test_any_saved_scenario_is_the_streaming_json_dump_and_loads_back(tmp_path, s):
     _assert_saved_as_json_dump(s, tmp_path)
     assert load_scenario(tmp_path / "saved.json") == s
+
+
+def test_a_surrogate_pair_is_saved_as_two_escapes_and_loads_as_one_character(tmp_path):
+    # The format's meaning: json.loads joins the escapes of a high and a low surrogate.
+    fig3 = build_fig3_scenario()
+    wl = fig3.worldlines[0]
+    s = Scenario("pair \ud800\udfff", fig3.transform,
+                 (Worldline(wl.anchor, wl.direction, "\ud800\udfff", wl.kind),), fig3.window)
+    path = tmp_path / "saved.json"
+    save_scenario(s, path)
+    text = path.read_text(encoding="utf-8")
+    assert '"name": "pair \\ud800\\udfff"' in text
+    assert '"label": "\\ud800\\udfff"' in text
+    loaded = load_scenario(path)
+    assert loaded.name == "pair \U000103ff" and loaded.worldlines[0].label == "\U000103ff"
+    assert loaded != s
+    # The astral character is saved as the same two escapes: one more round changes nothing.
+    save_scenario(loaded, path)
+    assert path.read_text(encoding="utf-8") == text
+    assert load_scenario(path) == loaded

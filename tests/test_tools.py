@@ -30,7 +30,8 @@ def _load(name):
 ab = _load("ab")
 sys.modules["ab"] = ab      # each tool runs `import ab`
 try:
-    peer, teardown, memory, stages = map(_load, ("peer", "teardown", "memory", "stages"))
+    peer, teardown, memory, stages, digest = map(
+        _load, ("peer", "teardown", "memory", "stages", "digest"))
 finally:
     del sys.modules["ab"]
 
@@ -129,3 +130,55 @@ def test_stages_child_times_the_benchmark_op_by_stage(tmp_path, monkeypatch):
     assert all(value > 0 for value in us.values())
     # One pass: each stage and the op come from the same calls, so no stage counts twice.
     assert us["op"] >= sum(us[stage] for stage in STAGES[:-1])
+
+
+def _digest(tmp_path, monkeypatch, seeds=(9001,), size=3):
+    import bilorentz
+    monkeypatch.syspath_prepend(str(digest.BENCH))
+    return digest.digest(bilorentz, seeds, size, tmp_path)
+
+
+def test_digest_hashes_saved_bytes_svgs_and_refusals(tmp_path, monkeypatch):
+    import bilorentz
+    first = _digest(tmp_path, monkeypatch)
+    assert len(first) == 64 and first == _digest(tmp_path, monkeypatch)
+    assert first != _digest(tmp_path, monkeypatch, size=2)
+    assert first != _digest(tmp_path, monkeypatch, seeds=(9002,))
+    # One more byte in every saved file, or in every SVG, moves the hash.
+    save = bilorentz.save_scenario
+    with monkeypatch.context() as m:
+        m.setattr(bilorentz, "save_scenario",
+                  lambda s, path: (save(s, path), path.write_bytes(path.read_bytes() + b" ")))
+        assert _digest(tmp_path, m) != first
+    with monkeypatch.context() as m:
+        m.setattr(bilorentz.SvgDocument, "to_svg", lambda doc: "<svg/>")
+        blank = _digest(tmp_path, m)
+        assert blank != first
+        m.setattr(bilorentz.SvgDocument, "to_svg", lambda doc: "<svg />")
+        assert _digest(tmp_path, m) != blank
+    # A refusal is hashed by its type and message.
+    refused = set()
+    for refusal in (ValueError("no"), ValueError("nope"), KeyError("no")):
+        def refuse(*args, refusal=refusal):
+            raise refusal
+        with monkeypatch.context() as m:
+            m.setattr(bilorentz, "render_pair", refuse)
+            refused.add(_digest(tmp_path, m))
+    assert len(refused) == 3 and not refused & {first, blank}
+
+
+def test_digest_prints_one_hash_per_folder(capsys, monkeypatch):
+    seen = []
+
+    def folder_digest(src, tmp):
+        seen.append((src, os.path.isdir(tmp)))
+        return f"{len(seen):064x}"
+
+    monkeypatch.setattr(digest, "folder_digest", folder_digest)
+    assert digest.main(["x", "y"]) == 0
+    assert capsys.readouterr().out == f"{1:064x}  x\n{2:064x}  y\n"
+    assert seen == [("x", True), ("y", True)]
+    assert digest.main([]) == 0
+    assert capsys.readouterr().out == f"{3:064x}  {ab.SRC}\n"
+    assert list(digest.SEEDS) == [9001, 9002, 9003, 9004, 9005, 9006]
+    assert digest.DECIMALS == (2, 6, 9)
