@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 
 from .core import (
@@ -71,6 +72,8 @@ class Window(_Value):
     def __init__(self, lo: TwoVector, hi: TwoVector):
         if not (hi.c1 > lo.c1 and hi.c2 > lo.c2):
             raise ValueError("window must have positive width and height")
+        if not (hi.c1 - lo.c1 < math.inf and hi.c2 - lo.c2 < math.inf):
+            raise ValueError("window must have finite width and height")
         _set_lo(self, lo)
         _set_hi(self, hi)
 

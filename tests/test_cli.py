@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from bilorentz import (Scenario, TwoVector, Window, Worldline, build_fig2_scenario,
+from bilorentz import (Scenario, TwoVector, Window, Worldline, WorldlineKind, build_fig2_scenario,
                        build_fig4_scenario, cli, core, make_lambda, save_scenario, scenario_to_dict)
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -344,9 +344,9 @@ def test_diagram_integer_beyond_the_float_range_exits_2(tmp_path, capsys):
 
 
 def test_diagram_endpoint_that_overflows_exits_2(tmp_path, capsys):
-    # The line from (1e308, 1e308) along (1, 1) ends at (-inf, -inf) at the window's corner.
-    window = Window(TwoVector(-1e308, -1e308), TwoVector(1e308, 1e308))
-    wl = Worldline(TwoVector(1e308, 1e308), TwoVector(1.0, 1.0))
+    # The ray from (0.5, 0.5) along (5e-324, 5e-324) ends at (-inf, -inf) at the window's corner.
+    window = Window(TwoVector(0.0, 0.0), TwoVector(1.0, 1.0))
+    wl = Worldline(TwoVector(0.5, 0.5), TwoVector(5e-324, 5e-324), "", WorldlineKind.LIGHT_RAY)
     path = tmp_path / "scenario.json"
     save_scenario(Scenario("overflow", make_lambda(1, 1.0, 0.5), (wl,), window), path)
     code, out, err = run_cli(capsys, "diagram", "--scenario", str(path),

@@ -360,8 +360,9 @@ def test_render_pair_draws_what_the_two_vector_path_drew(case):
 
 
 def test_an_endpoint_that_overflows_is_refused_as_a_two_vector():
-    window = Window(TwoVector(-1e308, -1e308), TwoVector(1e308, 1e308))
-    wl = Worldline(TwoVector(1e308, 1e308), TwoVector(1.0, 1.0))
+    # 0.5 / 5e-324 overflows, so the ray's end at the window's corner is (-inf, -inf).
+    window = Window(TwoVector(0.0, 0.0), TwoVector(1.0, 1.0))
+    wl = Worldline(TwoVector(0.5, 0.5), TwoVector(5e-324, 5e-324), "", WorldlineKind.LIGHT_RAY)
     s = Scenario("overflow", make_lambda(1, 1.0, 0.5), (wl,), window)
     message = re.escape("TwoVector components must be finite, got (-inf, -inf)")
     for draw in (lambda: render_pair(s), lambda: clip_to_window(wl, window)):

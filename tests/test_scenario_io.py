@@ -174,11 +174,13 @@ def test_singular_family_member_is_a_format_error(branch, k, vel, message):
         scenario_from_dict(data)
 
 
-def test_invalid_window_is_a_format_error():
+@pytest.mark.parametrize("lo, hi, size", [([3, 3], [-3, -3], "positive"),
+                                          ([-1e308, 0], [1e308, 1], "finite")])
+def test_invalid_window_is_a_format_error(lo, hi, size):
     data = scenario_to_dict(build_fig3_scenario())
-    data["window"] = {"min": [3, 3], "max": [-3, -3]}
+    data["window"] = {"min": lo, "max": hi}
     with pytest.raises(ScenarioFormatError,
-                       match="^window: window must have positive width and height$"):
+                       match=f"^window: window must have {size} width and height$"):
         scenario_from_dict(data)
 
 
@@ -336,10 +338,14 @@ _worldlines = st.one_of(
 )
 
 
+#: Two distinct ends of a window side whose length does not overflow, as Window requires.
+_sides = st.lists(_coords, min_size=2, max_size=2, unique=True).filter(
+    lambda ends: abs(ends[0] - ends[1]) < math.inf)
+
+
 @st.composite
 def _windows(draw) -> Window:
-    c1s = draw(st.lists(_coords, min_size=2, max_size=2, unique=True))
-    c2s = draw(st.lists(_coords, min_size=2, max_size=2, unique=True))
+    c1s, c2s = draw(_sides), draw(_sides)
     return Window(TwoVector(min(c1s), min(c2s)), TwoVector(max(c1s), max(c2s)))
 
 

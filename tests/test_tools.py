@@ -1,7 +1,7 @@
 """The measurement tools' shared A/B loop, ``tools/ab.py``, and what each tool
 prints, driven in this process with fake samples: no test here starts a process.
 
-Each tool must keep the JSON keys it printed before it ran on ``ab.main``, at
+Each tool must keep the JSON keys it printed when it moved onto ``ab.main``, at
 any ``--runs``, one included.
 """
 
@@ -65,6 +65,7 @@ SHAPES = {
                                                   MEMORY_TRIALS)}),
     "stages": (stages, (stages.SEED,), lambda n: {stage: float(n) for stage in STAGES},
                dict.fromkeys(STAGES, _leaves("median_us", "quartiles_us"))),
+    "digest": (digest, ("all",), lambda n: f"{n:064x}", _leaves("sha256")),
 }
 
 
@@ -133,28 +134,29 @@ def test_stages_child_times_the_benchmark_op_by_stage(tmp_path, monkeypatch):
 
 
 def _digest(tmp_path, monkeypatch, seeds=(9001,), size=3):
-    import bilorentz
     monkeypatch.syspath_prepend(str(digest.BENCH))
-    return digest.digest(bilorentz, seeds, size, tmp_path)
+    return digest.digest(seeds, size, tmp_path)
 
 
-def test_digest_hashes_saved_bytes_svgs_and_refusals(tmp_path, monkeypatch):
-    import bilorentz
+def test_digest_hashes_what_the_benchmark_ops_return(tmp_path, monkeypatch):
+    # The ops call the library through ScenarioRender._fns and Kinematics._fns, which read
+    # the submodules' attributes: the plants go there.
+    from bilorentz import core, diagram, scenario_io
     first = _digest(tmp_path, monkeypatch)
     assert len(first) == 64 and first == _digest(tmp_path, monkeypatch)
     assert first != _digest(tmp_path, monkeypatch, size=2)
     assert first != _digest(tmp_path, monkeypatch, seeds=(9002,))
     # One more byte in every saved file, or in every SVG, moves the hash.
-    save = bilorentz.save_scenario
+    save = scenario_io.save_scenario
     with monkeypatch.context() as m:
-        m.setattr(bilorentz, "save_scenario",
+        m.setattr(scenario_io, "save_scenario",
                   lambda s, path: (save(s, path), path.write_bytes(path.read_bytes() + b" ")))
         assert _digest(tmp_path, m) != first
     with monkeypatch.context() as m:
-        m.setattr(bilorentz.SvgDocument, "to_svg", lambda doc: "<svg/>")
+        m.setattr(diagram.SvgDocument, "to_svg", lambda doc: "<svg/>")
         blank = _digest(tmp_path, m)
         assert blank != first
-        m.setattr(bilorentz.SvgDocument, "to_svg", lambda doc: "<svg />")
+        m.setattr(diagram.SvgDocument, "to_svg", lambda doc: "<svg />")
         assert _digest(tmp_path, m) != blank
     # A refusal is hashed by its type and message.
     refused = set()
@@ -162,23 +164,24 @@ def test_digest_hashes_saved_bytes_svgs_and_refusals(tmp_path, monkeypatch):
         def refuse(*args, refusal=refusal):
             raise refusal
         with monkeypatch.context() as m:
-            m.setattr(bilorentz, "render_pair", refuse)
+            m.setattr(diagram, "render_pair", refuse)
             refused.add(_digest(tmp_path, m))
     assert len(refused) == 3 and not refused & {first, blank}
+    # So does the op's scenario_to_dict document, and a kinematics output: refit's fit.
+    to_dict = scenario_io.scenario_to_dict
+    with monkeypatch.context() as m:
+        m.setattr(scenario_io, "scenario_to_dict", lambda s: {**to_dict(s), "name": "planted"})
+        renamed = _digest(tmp_path, m)
+    with monkeypatch.context() as m:
+        m.setattr(core, "refit", lambda p, tau: None)
+        unfitted = _digest(tmp_path, m)
+    assert len({first, renamed, unfitted}) == 3
+    assert _digest(tmp_path, monkeypatch) == first
 
 
-def test_digest_prints_one_hash_per_folder(capsys, monkeypatch):
-    seen = []
-
-    def folder_digest(src, tmp):
-        seen.append((src, os.path.isdir(tmp)))
-        return f"{len(seen):064x}"
-
-    monkeypatch.setattr(digest, "folder_digest", folder_digest)
-    assert digest.main(["x", "y"]) == 0
-    assert capsys.readouterr().out == f"{1:064x}  x\n{2:064x}  y\n"
-    assert seen == [("x", True), ("y", True)]
-    assert digest.main([]) == 0
-    assert capsys.readouterr().out == f"{3:064x}  {ab.SRC}\n"
+def test_digest_reports_the_distinct_hashes_of_a_folder():
+    # One entry: the folder's fresh processes agreed.
+    assert digest.report({"all": ["b", "a", "b"]}) == {"sha256": ["a", "b"]}
+    assert digest.report({"all": ["a", "a"]}) == {"sha256": ["a"]}
     assert list(digest.SEEDS) == [9001, 9002, 9003, 9004, 9005, 9006]
     assert digest.DECIMALS == (2, 6, 9)

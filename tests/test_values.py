@@ -156,9 +156,13 @@ def test_copy_and_pickle_validate_worldline_values_again():
     # As for TwoVector above: a field written around __init__ fails its check again.
     narrow = Window(TwoVector(0.0, 0.0), TwoVector(1.0, 1.0))
     worldlines._set_hi(narrow, TwoVector(0.0, 1.0))
+    wide = Window(TwoVector(0.0, 0.0), TwoVector(1.0, 1.0))
+    worldlines._set_lo(wide, TwoVector(-1e308, 0.0))
+    worldlines._set_hi(wide, TwoVector(1e308, 1.0))
     ray = Worldline(ORIGIN, TwoVector(1.0, 0.5))
     worldlines._set_kind(ray, WorldlineKind.LIGHT_RAY)
     for broken, error, message in ((narrow, ValueError, "positive width and height"),
+                                   (wide, ValueError, "finite width and height"),
                                    (ray, LightRayViolationError, "off the light cone")):
         for again in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
             with pytest.raises(error, match=message):

@@ -131,6 +131,16 @@ def test_window_needs_positive_extent():
         Window(TwoVector(0.0, 0.0), TwoVector(1.0, -1.0))
 
 
+@pytest.mark.parametrize("lo, hi", [((-1e308, -1e308), (1e308, 1e308)),
+                                    ((0.0, -1e308), (1.0, 1e308)),
+                                    ((-1e308, 0.0), (1e308, 1.0))])
+def test_window_needs_finite_extent(lo, hi):
+    # Each side is finite, but its width or height overflows: a line across it drew "nan".
+    with pytest.raises(ValueError, match="^window must have finite width and height$"):
+        Window(TwoVector(*lo), TwoVector(*hi))
+    assert Window(TwoVector(0.0, -8e307), TwoVector(1.0, 8e307)).hi.c2 == 8e307
+
+
 def test_fig2_scenario_contents():
     s = build_fig2_scenario()
     particles = [w for w in s.worldlines if w.kind is WorldlineKind.PARTICLE]
