@@ -141,7 +141,9 @@ class Metric(_Value):
     __slots__ = ("g",)
 
     def __init__(self, g: Mat):
-        (_, b), (c, _) = g
+        (a, b), (c, d) = g
+        if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(d)):
+            raise ValueError(f"metric entries must be finite, got {g}")
         if b != c:
             raise ValueError("metric matrix must be symmetric")
         if mat_det(g) == 0.0:

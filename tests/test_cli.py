@@ -157,6 +157,16 @@ def test_classify_is_unit_free(capsys):
     assert out.splitlines()[-1] == "causal_class: timelike"
 
 
+@pytest.mark.xfail(strict=True, reason="the squares overflow (nan) or underflow (0.0), so "
+                   "(1, 0.5) in these units reads lightlike: an open ROADMAP item")
+@pytest.mark.parametrize("vec", ["1e160,5e159", "1e-200,5e-201"])
+def test_classify_is_unit_free_where_the_squares_leave_the_float_range(vec, capsys):
+    code, out, _ = run_cli(capsys, "classify", f"--vec={vec}")
+    assert code == 0
+    assert "interval_sq: nan" not in out
+    assert out.splitlines()[-1] == "causal_class: timelike"
+
+
 def test_compose_fits_a_product_near_the_light_cone(capsys):
     # 50-digit velocity sum: 1.998 / 1.998001 = 0.9999994994997500001...
     code, out, _ = run_cli(capsys, "compose", "lambda,1,1,0.999", "lambda,1,1,0.999")

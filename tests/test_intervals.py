@@ -57,6 +57,19 @@ def test_metric_validation():
         Metric(((1.0, 0.5), (0.25, 1.0)))  # not symmetric
     with pytest.raises(ValueError):
         Metric(((1.0, 1.0), (1.0, 1.0)))  # degenerate
+    # Non-finite: a nan entry made the timelike (1, 0.5) read interval_sq=nan, lightlike.
+    for g in (((math.nan, 0.0), (0.0, -1.0)), ((1.0, math.inf), (math.inf, -1.0)),
+              ((1.0, 0.0), (0.0, -math.inf))):
+        with pytest.raises(ValueError, match="^metric entries must be finite, got "):
+            Metric(g)
+
+
+def test_transform_metric_refuses_an_image_that_overflows():
+    # (m^-1)^T g m^-1 of 1e-160 times the identity is ((1e320, 0), (0, -1e320)): inf, where
+    # the timelike (1, 0.5) read lightlike in the image.
+    tiny = core.Transform(((1e-160, 0.0), (0.0, 1e-160)), core.BranchKind.DERIVED)
+    with pytest.raises(ValueError, match=r"^metric entries must be finite, got \(\(inf, 0.0\)"):
+        transform_metric(tiny, STANDARD_METRIC)
 
 
 def test_transform_metric_lambda_preserves_standard_form():

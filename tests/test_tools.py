@@ -1,8 +1,7 @@
 """The measurement tools' shared A/B loop, ``tools/ab.py``, and what each tool
 prints, driven in this process with fake samples: no test here starts a process.
 
-Each tool must keep the JSON keys it printed when it moved onto ``ab.main``, at
-any ``--runs``, one included.
+Each tool's JSON keys are pinned here, at any ``--runs``, one included.
 """
 
 import contextlib
@@ -30,8 +29,7 @@ def _load(name):
 ab = _load("ab")
 sys.modules["ab"] = ab      # each tool runs `import ab`
 try:
-    peer, teardown, memory, stages, digest = map(
-        _load, ("peer", "teardown", "memory", "stages", "digest"))
+    proc, stages, digest = map(_load, ("proc", "stages", "digest"))
 finally:
     del sys.modules["ab"]
 
@@ -48,21 +46,17 @@ def _leaves(*names):
     return dict.fromkeys(names)
 
 
-PEER_TRIALS = {"workers=1": _leaves("median_ms", "quartiles_ms"),
-               "workers=2": _leaves("median_ms", "quartiles_ms"), "peer_ratio": None}
-MEMORY_TRIALS = _leaves("peak_rss_mb_median", "peak_rss_mb_range", "extra_faults_median",
-                        "extra_faults_range")
-TEARDOWN_COMMAND = _leaves("teardown_ms_p10", "teardown_ms_median", "wall_ms_p10",
-                           "wall_ms_median")
+PROC_CASES = ["bare", "transform", "diagram", "verify@1", "verify@1e5", "verify@1e6",
+              "verify@4e6", *(f"verify@{n}/w{w}" for n in ("1e5", "2e5", "4e5", "1e6")
+                              for w in (1, 2))]
+PROC_CASE = {"wall_ms": _leaves("median", "p10", "quartiles"),
+             "teardown_ms": _leaves("median", "p10"),
+             "peak_rss_mb": _leaves("median", "range"), "extra_faults": _leaves("median", "range")}
 #: tool -> (its module, its cases, a fake sample's value from a counter, its report's shape)
 SHAPES = {
-    "peer": (peer, peer.CASES, float,
-             dict.fromkeys(("100000", "200000", "400000", "1e+06"), PEER_TRIALS)),
-    "teardown": (teardown, teardown.COMMANDS, lambda n: (n / 10, float(n)),
-                 dict.fromkeys(("bare", "transform", "diagram", "verify"), TEARDOWN_COMMAND)),
-    "memory": (memory, memory.TRIALS, lambda n: (30_000 + n, 2_000 + n),
-               {"floor_mb": None, **dict.fromkeys(("100000", "1e+06", "4e+06"),
-                                                  MEMORY_TRIALS)}),
+    "proc": (proc, proc.CASES, lambda n: (n / 10, float(n), 30_000 + n, 2_000 + n),
+             {"floor_mb": None, "peer_ratio": _leaves("1e5", "2e5", "4e5", "1e6"),
+              **dict.fromkeys(PROC_CASES, PROC_CASE)}),
     "stages": (stages, (stages.SEED,), lambda n: {stage: float(n) for stage in STAGES},
                dict.fromkeys(STAGES, _leaves("median_us", "quartiles_us"))),
     "digest": (digest, ("all",), lambda n: f"{n:064x}", _leaves("sha256")),
@@ -109,7 +103,7 @@ def test_quantile_falls_back_to_the_one_sample():
 @pytest.mark.parametrize("runs", ["1", "2", "5"])
 @pytest.mark.parametrize("name", SHAPES)
 def test_each_tool_prints_the_keys_it_printed_before(name, runs, capsys):
-    # With one run, teardown's 10th percentile raised StatisticsError.
+    # With one run, a 10th percentile raised StatisticsError.
     tool, cases, value, shape = SHAPES[name]
     count = itertools.count(1)
     assert ab.main(tool.__doc__, 5, cases, lambda case, src, cwd: value(next(count)),
@@ -117,6 +111,45 @@ def test_each_tool_prints_the_keys_it_printed_before(name, runs, capsys):
     out = json.loads(capsys.readouterr().out)
     assert list(out) == ["x", "y"]
     assert all(_shape(report) == shape for report in out.values())
+
+
+def test_proc_cases_run_the_cli_or_the_worker_wrapper(monkeypatch):
+    from bilorentz import cli, verify
+    assert list(proc.CASES) == PROC_CASES
+    assert proc.CASES["verify@1"][-4:] == ("bilorentz.cli", "verify", "--trials", "1")
+    assert proc.CASES["verify@4e6"][-3:] == ("verify", "--trials", "4000000")
+    # The wrapper sets verify's worker count, then hands cli.run() the rest of argv.
+    flag, code, *argv = proc.CASES["verify@2e5/w2"]
+    assert (flag, argv) == ("-c", ["2", "verify", "--trials", "200000"])
+    ran = []
+    monkeypatch.setattr(verify, "_WORKERS", None)
+    monkeypatch.setattr(cli, "run", lambda: ran.append((verify._WORKERS, sys.argv[1:])))
+    monkeypatch.setattr(sys, "argv", [flag, *argv])
+    exec(code, {})
+    assert ran == [(2, ["verify", "--trials", "200000"])]
+
+
+def test_proc_reports_the_floor_the_peer_ratio_and_the_extra_faults():
+    # A run is (teardown_ms, wall_ms, ru_maxrss in KiB, ru_minflt).
+    samples = {case: [(1.0, 200.0, 40 * 1024, 5000)] * 3 for case in proc.CASES}
+    samples["verify@1"] = [(1.0, 100.0, 34 * 1024, 2060), (3.0, 120.0, 39 * 1024, 2000),
+                           (2.0, 110.0, 36 * 1024, 2010)]
+    samples["verify@1e6"] = [(9.0 - i, 480.0 - 10 * i, 36 * 1024 + 128 * i, 3850 + 5 * i)
+                             for i in range(9)]
+    samples["verify@1e6/w1"] = [(1.0, wall, 1, 1) for wall in (600.0, 650.0, 590.0)]
+    samples["verify@1e6/w2"] = [(1.0, wall, 1, 1) for wall in (420.0, 400.0, 455.0)]
+    out = proc.report(samples)
+    assert out["floor_mb"] == 36.0       # medians: the means are 36.33 MB and 2023.3 faults
+    assert out["peer_ratio"] == {"1e5": 1.0, "2e5": 1.0, "4e5": 1.0, "1e6": 0.7}
+    assert out["verify@1"]["extra_faults"] == {"median": 0, "range": [-10, 50]}
+    # Nine runs: the 10th percentile is the least, the quartiles fall between two runs.
+    assert out["verify@1e6"] == {
+        "wall_ms": {"median": 440.0, "p10": 400.0, "quartiles": [415.0, 465.0]},
+        "teardown_ms": {"median": 5.0, "p10": 1.0},
+        "peak_rss_mb": {"median": 36.5, "range": [36.0, 37.0]},
+        "extra_faults": {"median": 1860, "range": [1840, 1880]}}
+    assert out["bare"]["extra_faults"] == {"median": 2990, "range": [2990, 2990]}
+    assert out["bare"]["peak_rss_mb"] == {"median": 40.0, "range": [40.0, 40.0]}
 
 
 def test_stages_child_times_the_benchmark_op_by_stage(tmp_path, monkeypatch):

@@ -1,4 +1,4 @@
-"""The A/B loop of the tools ``peer``, ``teardown``, ``memory``, ``stages`` and ``digest``.
+"""The A/B loop of the tools ``proc``, ``stages`` and ``digest``.
 
 A tool is a table of cases, a function that takes one sample of one case for
 one ``src`` folder in fresh processes, and a function that turns one folder's
